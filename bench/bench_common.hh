@@ -93,8 +93,6 @@ runBatch(const exp::BenchOptions &opts,
     exp::ExperimentEngine engine(opts.engineOptions());
     std::vector<exp::RunOutcome> outcomes = engine.run(prepared);
     exp::appendJsonlReport(outcomes, opts.jsonlPath);
-    exp::appendQuarantineSummary(engine.quarantinedKeys(),
-                                 opts.jsonlPath);
     exp::reportFailures(outcomes);
 
     if (opts.metrics) {

@@ -5,9 +5,10 @@
  * components at maximum frequency — no policy in the loop, so the
  * number isolates the kernel's pop–dispatch cost from search cost).
  *
- * Emits a machine-readable BENCH_kernel.json (ticks_per_sec,
- * events_per_sec, wall_s, ...) so CI can track the repo's perf
- * trajectory; scripts/perf_check.py compares a fresh run against
+ * Emits a machine-readable BENCH_kernel.json in the multi-entry
+ * {"benchmark", "entries": [...]} form bench_cluster also writes (one
+ * entry: events, wall_s, events_per_sec, ticks_per_sec, ...) so CI can
+ * track the repo's perf trajectory; scripts/perf_check.py compares a fresh run against
  * bench/BENCH_kernel_baseline.json and fails on a >25% events/sec
  * regression.
  *
@@ -87,14 +88,19 @@ main(int argc, char **argv)
     coscale::JsonWriter j(out);
     j.beginObject();
     j.field("benchmark", std::string("kernel_throughput"));
+    j.beginArray("entries");
+    j.beginObject();
+    j.field("name", std::string("kernel_mid1"));
+    j.field("events", best.events);
+    j.field("wall_s", best.wallS);
+    j.field("events_per_sec", events_per_sec);
     j.field("mix", std::string("MID1"));
     j.field("time_scale", scale);
     j.field("reps", static_cast<std::uint64_t>(reps));
     j.field("sim_ticks", best.ticks);
-    j.field("events", best.events);
-    j.field("wall_s", best.wallS);
     j.field("ticks_per_sec", ticks_per_sec);
-    j.field("events_per_sec", events_per_sec);
+    j.endObject();
+    j.endArray();
     j.endObject();
     out << "\n";
 

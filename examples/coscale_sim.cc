@@ -42,7 +42,6 @@
  *                        traces in chrome://tracing or Perfetto)
  *     --metrics          print each run's metrics registry (JSON)
  *     --timeout SECS     per-run wall-clock watchdog (0 = off)
- *     --retries N        retry a failed run up to N times
  *     --list-policies    print the registered policy roster and exit
  *
  *   Cluster mode (src/cluster/; --nodes > 0 switches to it):
@@ -127,7 +126,6 @@ struct Options
     TraceSpec trace;
     bool metrics = false;
     double timeoutSecs = 0.0;
-    int retries = 0;
     fault::FaultPlan faults;
 
     // Cluster mode (--nodes > 0).
@@ -224,9 +222,7 @@ parseArgs(int argc, char **argv)
         } else if (a == "--metrics") {
             opt.metrics = true;
         } else if (a == "--timeout") {
-            opt.timeoutSecs = std::atof(need(i));
-        } else if (a == "--retries") {
-            opt.retries = std::atoi(need(i));
+            opt.timeoutSecs = exp::parseTimeoutSecs(need(i));
         } else if (a == "--fault-seed") {
             opt.faults.seed =
                 static_cast<std::uint64_t>(std::atoll(need(i)));
@@ -540,7 +536,6 @@ main(int argc, char **argv)
     exp::EngineOptions engineOpts;
     engineOpts.jobs = opt.jobs;
     engineOpts.timeoutSecs = opt.timeoutSecs;
-    engineOpts.retries = opt.retries;
     exp::ExperimentEngine engine(engineOpts);
     std::vector<exp::RunOutcome> outcomes = engine.run(requests);
 
@@ -573,8 +568,6 @@ main(int argc, char **argv)
         }
     }
     exp::appendJsonlReport(outcomes, opt.jsonlPath);
-    exp::appendQuarantineSummary(engine.quarantinedKeys(),
-                                 opt.jsonlPath);
 
     if (opt.metrics) {
         for (const auto &out : outcomes) {

@@ -1,5 +1,6 @@
 #include "exp/bench_options.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,7 +30,7 @@ printUsage(const char *prog)
     std::printf(
         "usage: %s [scale] [--scale X] [--jobs N] [--jsonl PATH]\n"
         "          [--progress] [--trace PATH] [--trace-format FMT]\n"
-        "          [--metrics] [--timeout SECS] [--retries N]\n"
+        "          [--metrics] [--timeout SECS]\n"
         "          [--mem-sched S] [--row-policy P] [--dram-standard D]\n"
         "  scale / --scale X  time scale in (0, 1]; 1.0 is the paper's\n"
         "                     full setup (default via COSCALE_SCALE or\n"
@@ -44,7 +45,6 @@ printUsage(const char *prog)
         "                     (chrome://tracing / Perfetto JSON)\n"
         "  --metrics          collect and print per-run metrics\n"
         "  --timeout SECS     per-run wall-clock watchdog (0 = off)\n"
-        "  --retries N        retry failed runs up to N times\n"
         "  --mem-sched S      channel scheduler: fcfs (paper) or\n"
         "                     frfcfs\n"
         "  --row-policy P     row-buffer policy: closed (paper) or\n"
@@ -57,6 +57,17 @@ printUsage(const char *prog)
 }
 
 } // namespace
+
+double
+parseTimeoutSecs(const char *text)
+{
+    char *end = nullptr;
+    double secs = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(secs) || secs < 0.0)
+        fatal("--timeout must be a non-negative number of seconds, "
+              "got '%s'", text);
+    return secs;
+}
 
 void
 printPolicyRoster()
@@ -100,18 +111,7 @@ parseBenchArgs(int argc, char **argv, double defaultScale)
                 fatal("--trace-format must be jsonl or chrome, "
                       "got '%s'", v);
         } else if (std::strcmp(arg, "--timeout") == 0) {
-            const char *v = nextValue("--timeout");
-            double secs = std::atof(v);
-            if (secs < 0.0)
-                fatal("--timeout must be >= 0 seconds, got '%s'", v);
-            opts.timeoutSecs = secs;
-        } else if (std::strcmp(arg, "--retries") == 0) {
-            const char *v = nextValue("--retries");
-            int n = std::atoi(v);
-            if (n < 0 || (n == 0 && std::strcmp(v, "0") != 0))
-                fatal("--retries must be a non-negative integer, "
-                      "got '%s'", v);
-            opts.retries = n;
+            opts.timeoutSecs = parseTimeoutSecs(nextValue("--timeout"));
         } else if (std::strcmp(arg, "--mem-sched") == 0) {
             const char *v = nextValue("--mem-sched");
             if (!parseMemSched(v, &opts.memBackend.sched))

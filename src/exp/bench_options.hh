@@ -49,9 +49,6 @@ struct BenchOptions
     /** Per-run wall-clock watchdog in seconds (--timeout; 0 = off). */
     double timeoutSecs = 0.0;
 
-    /** Retry attempts after a failed run (--retries; 0 = fail fast). */
-    int retries = 0;
-
     /**
      * Memory backend picked by --mem-sched / --row-policy /
      * --dram-standard; memBackendSet records whether any of the three
@@ -100,7 +97,6 @@ struct BenchOptions
         opts.jobs = jobs;
         opts.progress = progress;
         opts.timeoutSecs = timeoutSecs;
-        opts.retries = retries;
         return opts;
     }
 };
@@ -116,6 +112,13 @@ struct BenchOptions
  */
 BenchOptions parseBenchArgs(int argc, char **argv,
                             double defaultScale = 0.1);
+
+/**
+ * Parse a --timeout value in host seconds. Fatal (exit 1) unless
+ * @p text is a whole finite number >= 0, so a typo can never silently
+ * disable the watchdog. Shared by the harnesses and coscale_sim.
+ */
+double parseTimeoutSecs(const char *text);
 
 /**
  * Print the registered policy roster (knownPolicyNames(), one per

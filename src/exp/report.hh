@@ -38,19 +38,6 @@ std::size_t appendJsonlReport(const std::vector<RunOutcome> &outcomes,
  */
 std::size_t reportFailures(const std::vector<RunOutcome> &outcomes);
 
-/**
- * Write one {"quarantined_keys": [...]} summary line listing the
- * identities the engine currently refuses
- * (ExperimentEngine::quarantinedKeys()). No-op when @p keys is empty,
- * so clean batches stay byte-identical to pre-quarantine reports.
- */
-void writeQuarantineSummary(const std::vector<std::string> &keys,
-                            std::ostream &os);
-
-/** Append the summary line to @p path (no-op on empty keys/path). */
-void appendQuarantineSummary(const std::vector<std::string> &keys,
-                             const std::string &path);
-
 } // namespace exp
 } // namespace coscale
 

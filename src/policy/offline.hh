@@ -18,21 +18,14 @@
 namespace coscale {
 
 /** Oracle-profiled, exhaustive-search policy. */
-class OfflinePolicy final : public Policy
+class OfflinePolicy final : public TrackedPolicy
 {
   public:
-    OfflinePolicy(int num_apps, double gamma)
-        : tracker(num_apps, gamma)
-    {
-    }
+    using TrackedPolicy::TrackedPolicy;
 
     std::string name() const override { return "Offline"; }
 
     bool wantsOracleProfile() const override { return true; }
-
-    double slackGamma() const override { return tracker.gamma(); }
-
-    const SlackTracker *slackLedger() const override { return &tracker; }
 
     FreqConfig
     decide(const SystemProfile &profile, const EnergyModel &em,
@@ -50,23 +43,6 @@ class OfflinePolicy final : public Policy
             traceSearch(stats.candidates, 0, 0, 0, stats.bestSer);
         return pick;
     }
-
-    void
-    observeEpoch(const EpochObservation &obs,
-                 const EnergyModel &em) override
-    {
-        int n = static_cast<int>(obs.epochProfile.cores.size());
-        FreqConfig all_max = FreqConfig::allMax(n);
-        double secs = ticksToSeconds(obs.epochTicks);
-        for (int i = 0; i < n; ++i) {
-            double ref = em.tpi(obs.epochProfile, i, all_max);
-            tracker.update(appOf(obs.appOnCore, i), ref,
-                           obs.instrs[static_cast<size_t>(i)], secs);
-        }
-    }
-
-  private:
-    SlackTracker tracker;
 };
 
 } // namespace coscale

@@ -248,6 +248,40 @@ class Policy
     Tick obsTick = 0;
 };
 
+/**
+ * Shared base for the policies that keep one honest slack ledger,
+ * referenced against all-max frequencies.
+ */
+class TrackedPolicy : public Policy
+{
+  public:
+    TrackedPolicy(int num_apps, double gamma)
+        : tracker(num_apps, gamma)
+    {
+    }
+
+    void
+    observeEpoch(const EpochObservation &obs,
+                 const EnergyModel &em) override
+    {
+        int n = static_cast<int>(obs.epochProfile.cores.size());
+        FreqConfig all_max = FreqConfig::allMax(n);
+        double secs = ticksToSeconds(obs.epochTicks);
+        for (int i = 0; i < n; ++i) {
+            double ref = em.tpi(obs.epochProfile, i, all_max);
+            tracker.update(appOf(obs.appOnCore, i), ref,
+                           obs.instrs[static_cast<size_t>(i)], secs);
+        }
+    }
+
+    double slackGamma() const override { return tracker.gamma(); }
+
+    const SlackTracker *slackLedger() const override { return &tracker; }
+
+  protected:
+    SlackTracker tracker;
+};
+
 /** The no-energy-management baseline: everything at max frequency. */
 class BaselinePolicy final : public Policy
 {

@@ -19,39 +19,6 @@
 
 namespace coscale {
 
-/** Shared base: honest slack accounting against all-max reference. */
-class TrackedPolicy : public Policy
-{
-  public:
-    TrackedPolicy(int num_apps, double gamma)
-        : tracker(num_apps, gamma)
-    {
-    }
-
-    void
-    observeEpoch(const EpochObservation &obs,
-                 const EnergyModel &em) override
-    {
-        int n = static_cast<int>(obs.epochProfile.cores.size());
-        FreqConfig all_max = FreqConfig::allMax(n);
-        double secs = ticksToSeconds(obs.epochTicks);
-        for (int i = 0; i < n; ++i) {
-            double ref = em.tpi(obs.epochProfile, i, all_max);
-            tracker.update(appOf(obs.appOnCore, i), ref,
-                           obs.instrs[static_cast<size_t>(i)], secs);
-        }
-    }
-
-    const SlackTracker &slack() const { return tracker; }
-
-    double slackGamma() const override { return tracker.gamma(); }
-
-    const SlackTracker *slackLedger() const override { return &tracker; }
-
-  protected:
-    SlackTracker tracker;
-};
-
 /** Memory-subsystem DVFS only (MemScale, [10]). */
 class MemScalePolicy final : public TrackedPolicy
 {

@@ -533,14 +533,12 @@ compare(const RunResult &baseline, const RunResult &run)
 
 void
 writeJsonReport(const RunResult &run, const Comparison *vs_baseline,
-                std::ostream &os, int attempts)
+                std::ostream &os)
 {
     JsonWriter j(os);
     j.beginObject();
     j.field("mix", run.mixName);
     j.field("policy", run.policyName);
-    if (attempts > 0)
-        j.field("attempts", static_cast<std::uint64_t>(attempts));
     j.field("finish_seconds", ticksToSeconds(run.finishTick));
     j.field("total_instructions",
             static_cast<std::uint64_t>(run.totalInstrs));

@@ -338,13 +338,10 @@ Comparison compare(const RunResult &baseline, const RunResult &run);
 /**
  * Emit a machine-readable JSON report of a run (and, when given, its
  * baseline comparison), including the per-epoch frequency/power log,
- * the injected-fault summary for faulted runs, and — when
- * @p attempts > 0 — the engine's attempt count (omitted otherwise so
- * single-attempt reports stay byte-stable).
+ * and the injected-fault summary for faulted runs.
  */
 void writeJsonReport(const RunResult &run,
-                     const Comparison *vs_baseline, std::ostream &os,
-                     int attempts = 0);
+                     const Comparison *vs_baseline, std::ostream &os);
 
 } // namespace coscale
 

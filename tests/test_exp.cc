@@ -320,13 +320,14 @@ TEST(BenchOptions, ParsesSharedFlags)
 {
     const char *argv[] = {"prog",   "--scale",    "0.25", "--jobs",
                           "2",      "--jsonl",    "x.jsonl",
-                          "--progress"};
-    exp::BenchOptions opts = exp::parseBenchArgs(8,
+                          "--progress", "--timeout", "2.5"};
+    exp::BenchOptions opts = exp::parseBenchArgs(10,
         const_cast<char **>(argv));
     EXPECT_DOUBLE_EQ(opts.scale, 0.25);
     EXPECT_EQ(opts.jobs, 2);
     EXPECT_EQ(opts.jsonlPath, "x.jsonl");
     EXPECT_TRUE(opts.progress);
+    EXPECT_DOUBLE_EQ(opts.timeoutSecs, 2.5);
 
     const char *legacy[] = {"prog", "0.5"};
     exp::BenchOptions pos = exp::parseBenchArgs(2,
@@ -337,6 +338,18 @@ TEST(BenchOptions, ParsesSharedFlags)
     exp::BenchOptions def = exp::parseBenchArgs(1,
         const_cast<char **>(none), 0.2);
     EXPECT_DOUBLE_EQ(def.scale, 0.2);
+}
+
+TEST(BenchOptions, RejectsMalformedTimeout)
+{
+    // A negative or non-numeric budget must not silently disable the
+    // watchdog.
+    const char *negative[] = {"prog", "--timeout", "-1"};
+    EXPECT_EXIT(exp::parseBenchArgs(3, const_cast<char **>(negative)),
+                ::testing::ExitedWithCode(1), "--timeout must be");
+    const char *garbage[] = {"prog", "--timeout", "abc"};
+    EXPECT_EXIT(exp::parseBenchArgs(3, const_cast<char **>(garbage)),
+                ::testing::ExitedWithCode(1), "--timeout must be");
 }
 
 TEST(Digest, SensitiveToEveryRelevantKnob)
@@ -443,12 +456,16 @@ TEST(ExperimentEngine, FailuresCarryRequestAndExceptionContext)
     exp::EngineOptions opts;
     opts.jobs = 1;
     exp::ExperimentEngine engine(opts);
-    exp::RunOutcome out = engine.runOne(
+    auto calls = std::make_shared<std::atomic<int>>(0);
+    RunRequest failing =
         RunRequest::forMix(cfg, mixByName("MID2"))
-            .with([]() -> std::unique_ptr<Policy> {
+            .with([calls]() -> std::unique_ptr<Policy> {
+                calls->fetch_add(1);
                 throw std::runtime_error("deliberate factory failure");
-            }));
+            });
+    exp::RunOutcome out = engine.runOne(failing);
     EXPECT_FALSE(out.ok);
+    EXPECT_EQ(out.attempts, 1);
     // Which request, which exception type, and what it said — enough
     // to triage a 200-run batch from the JSONL alone.
     EXPECT_NE(out.error.find("request 'MID2'"), std::string::npos)
@@ -460,6 +477,16 @@ TEST(ExperimentEngine, FailuresCarryRequestAndExceptionContext)
         << out.error;
     // The stderr failure digest counts it too.
     EXPECT_EQ(exp::reportFailures({out}), 1u);
+
+    // Failures are not remembered: every resubmission of a failing
+    // request runs once more and fails the same way, never refused.
+    for (int i = 0; i < 3; ++i) {
+        exp::RunOutcome again = engine.runOne(failing);
+        EXPECT_FALSE(again.ok);
+        EXPECT_EQ(again.attempts, 1);
+        EXPECT_EQ(again.error, out.error);
+    }
+    EXPECT_EQ(calls->load(), 4);
 
     // And an empty batch is a clean no-op, not an edge case.
     exp::ExperimentEngine empty{exp::EngineOptions{}};
@@ -523,149 +550,6 @@ TEST(ExperimentEngine, WatchdogCancelsHungRunAndBatchCompletes)
     std::ostringstream os;
     exp::writeJsonlReport(outcomes, os);
     EXPECT_NE(os.str().find("\"timed_out\":true"), std::string::npos);
-}
-
-TEST(ExperimentEngine, TransientFailureSucceedsOnRetry)
-{
-    SystemConfig cfg = smallConfig();
-    auto failures = std::make_shared<std::atomic<int>>(1);
-    RunRequest req =
-        RunRequest::forMix(cfg, mixByName("MID3"))
-            .with([failures, &cfg]() -> std::unique_ptr<Policy> {
-                if (failures->fetch_sub(1) > 0)
-                    throw std::runtime_error("transient glitch");
-                return std::make_unique<CoScalePolicy>(cfg.numCores,
-                                                       cfg.gamma);
-            });
-
-    exp::EngineOptions opts;
-    opts.jobs = 1;
-    opts.retries = 1;
-    opts.backoffSecs = 0.01;
-    exp::ExperimentEngine engine(opts);
-    exp::RunOutcome out = engine.runOne(req);
-
-    EXPECT_TRUE(out.ok) << out.error;
-    EXPECT_EQ(out.attempts, 2);
-    EXPECT_TRUE(out.error.empty()) << out.error;
-
-    // The retry count is visible in the report; single-attempt runs
-    // stay byte-stable by omitting the field entirely.
-    std::ostringstream os;
-    exp::writeJsonlReport({out}, os);
-    EXPECT_NE(os.str().find("\"attempts\":2"), std::string::npos);
-}
-
-TEST(ExperimentEngine, RepeatedlyFailingRequestGetsQuarantined)
-{
-    SystemConfig cfg = smallConfig();
-    auto makeReq = [&] {
-        return RunRequest::forMix(cfg, mixByName("MEM2"))
-            .with([]() -> std::unique_ptr<Policy> {
-                throw std::runtime_error("always broken");
-            });
-    };
-
-    exp::EngineOptions opts;
-    opts.jobs = 1;
-    opts.quarantineAfter = 2;
-    exp::ExperimentEngine engine(opts);
-
-    exp::RunOutcome first = engine.runOne(makeReq());
-    EXPECT_FALSE(first.ok);
-    EXPECT_FALSE(first.quarantined);
-    exp::RunOutcome second = engine.runOne(makeReq());
-    EXPECT_FALSE(second.ok);
-    EXPECT_FALSE(second.quarantined);
-
-    // Two exhausted failures of the same (config, workload, label)
-    // identity: the third submission is refused without running.
-    exp::RunOutcome third = engine.runOne(makeReq());
-    EXPECT_FALSE(third.ok);
-    EXPECT_TRUE(third.quarantined);
-    EXPECT_EQ(third.attempts, 0);
-    EXPECT_NE(third.error.find("quarantined"), std::string::npos)
-        << third.error;
-
-    std::ostringstream os;
-    exp::writeJsonlReport({third}, os);
-    EXPECT_NE(os.str().find("\"quarantined\":true"), std::string::npos);
-}
-
-TEST(ExperimentEngine, QuarantinedKeysListedAndClearedByReset)
-{
-    SystemConfig cfg = smallConfig();
-    auto makeReq = [&] {
-        return RunRequest::forMix(cfg, mixByName("MEM2"))
-            .with([]() -> std::unique_ptr<Policy> {
-                throw std::runtime_error("always broken");
-            });
-    };
-
-    exp::EngineOptions opts;
-    opts.jobs = 1;
-    opts.quarantineAfter = 2;
-    exp::ExperimentEngine engine(opts);
-
-    EXPECT_TRUE(engine.quarantinedKeys().empty());
-    engine.runOne(makeReq());
-    // One strike is not a quarantine yet.
-    EXPECT_TRUE(engine.quarantinedKeys().empty());
-    engine.runOne(makeReq());
-
-    std::vector<std::string> keys = engine.quarantinedKeys();
-    ASSERT_EQ(keys.size(), 1u);
-    EXPECT_FALSE(keys[0].empty());
-
-    // The summary line carries exactly those keys; an empty set emits
-    // nothing so clean batches stay byte-stable.
-    std::ostringstream os;
-    exp::writeQuarantineSummary(keys, os);
-    EXPECT_EQ(os.str(),
-              "{\"quarantined_keys\":[\"" + keys[0] + "\"]}\n");
-    std::ostringstream empty;
-    exp::writeQuarantineSummary({}, empty);
-    EXPECT_TRUE(empty.str().empty());
-
-    // Reset forgives the strikes: the request runs (and fails) again
-    // instead of being refused up front.
-    engine.resetQuarantine();
-    EXPECT_TRUE(engine.quarantinedKeys().empty());
-    exp::RunOutcome after = engine.runOne(makeReq());
-    EXPECT_FALSE(after.ok);
-    EXPECT_FALSE(after.quarantined);
-    EXPECT_GT(after.attempts, 0);
-}
-
-TEST(ExperimentEngine, QuarantineExpiresAfterResetWindow)
-{
-    SystemConfig cfg = smallConfig();
-    auto makeReq = [&] {
-        return RunRequest::forMix(cfg, mixByName("MEM2"))
-            .with([]() -> std::unique_ptr<Policy> {
-                throw std::runtime_error("always broken");
-            });
-    };
-
-    exp::EngineOptions opts;
-    opts.jobs = 1;
-    opts.quarantineAfter = 2;
-    opts.quarantineResetSecs = 0.05;
-    exp::ExperimentEngine engine(opts);
-
-    engine.runOne(makeReq());
-    engine.runOne(makeReq());
-    EXPECT_EQ(engine.quarantinedKeys().size(), 1u);
-
-    // After the reset window the strikes lapse: the key drops out of
-    // the summary and the next submission is paroled (runs again)
-    // rather than refused.
-    std::this_thread::sleep_for(std::chrono::milliseconds(120));
-    EXPECT_TRUE(engine.quarantinedKeys().empty());
-    exp::RunOutcome paroled = engine.runOne(makeReq());
-    EXPECT_FALSE(paroled.ok);
-    EXPECT_FALSE(paroled.quarantined);
-    EXPECT_GT(paroled.attempts, 0);
 }
 
 } // namespace
