@@ -10,13 +10,11 @@
  * Usage:
  *   coscale_sim [options]
  *     --mix NAME         workload mix (default MID1; 'all' sweeps)
- *     --policy NAME      baseline|memscale|cpuonly|uncoordinated|
- *                        semi|semi-alt|coscale|offline|multiscale|reactive|
- *                        powercap
+ *     --policy NAME      any name --list-policies prints
  *                        (default coscale)
  *     --scale S          time scale in (0,1] (default 0.1)
  *     --bound PCT        performance bound in percent (default 10)
- *     --cap WATTS        power cap (powercap policy only)
+ *     --cap WATTS        power cap (powercap and fastcap policies)
  *     --cores N          number of cores (default 16)
  *     --jobs N           worker threads for multi-mix sweeps
  *                        (default: COSCALE_JOBS, then hardware)
@@ -43,6 +41,9 @@
  *     --metrics          print each run's metrics registry (JSON)
  *     --timeout SECS     per-run wall-clock watchdog (0 = off)
  *     --list-policies    print the registered policy roster and exit
+ *
+ *   Numeric values must be numbers in full: '--cores abc' or
+ *   '--cap 2x' is a fatal error, not 0 cores or a 2 W cap.
  *
  *   Cluster mode (src/cluster/; --nodes > 0 switches to it):
  *     --nodes N          simulate an N-node fleet (0 = single node)
@@ -90,6 +91,7 @@
 #include "cluster/cluster.hh"
 #include "common/csv.hh"
 #include "common/log.hh"
+#include "common/parse_num.hh"
 #include "exp/bench_options.hh"
 #include "exp/engine.hh"
 #include "exp/policies.hh"
@@ -142,7 +144,7 @@ struct Options
 double
 faultKnob(const std::string &flag, const char *v)
 {
-    double x = std::atof(v);
+    double x = flagDouble(flag.c_str(), v);
     if (x < 0.0)
         fatal("%s must be non-negative, got '%s'", flag.c_str(), v);
     return x;
@@ -164,15 +166,15 @@ parseArgs(int argc, char **argv)
         } else if (a == "--policy") {
             opt.policy = need(i);
         } else if (a == "--scale") {
-            opt.scale = std::atof(need(i));
+            opt.scale = flagDouble(a.c_str(), need(i));
         } else if (a == "--bound") {
-            opt.bound = std::atof(need(i));
+            opt.bound = flagDouble(a.c_str(), need(i));
         } else if (a == "--cap") {
-            opt.cap = std::atof(need(i));
+            opt.cap = flagDouble(a.c_str(), need(i));
         } else if (a == "--cores") {
-            opt.cores = std::atoi(need(i));
+            opt.cores = flagInt(a.c_str(), need(i));
         } else if (a == "--jobs") {
-            opt.jobs = std::atoi(need(i));
+            opt.jobs = flagInt(a.c_str(), need(i));
         } else if (a == "--ooo") {
             opt.ooo = true;
         } else if (a == "--prefetch") {
@@ -195,15 +197,15 @@ parseArgs(int argc, char **argv)
         } else if (a == "--region-map") {
             opt.regionMap = true;
         } else if (a == "--freq-steps") {
-            opt.freqSteps = std::atoi(need(i));
+            opt.freqSteps = flagInt(a.c_str(), need(i));
         } else if (a == "--half-voltage") {
             opt.halfVoltage = true;
         } else if (a == "--mem-power-mult") {
-            opt.memPowerMult = std::atof(need(i));
+            opt.memPowerMult = flagDouble(a.c_str(), need(i));
         } else if (a == "--other-frac") {
-            opt.otherFrac = std::atof(need(i));
+            opt.otherFrac = flagDouble(a.c_str(), need(i));
         } else if (a == "--seed") {
-            opt.seed = static_cast<std::uint64_t>(std::atoll(need(i)));
+            opt.seed = flagU64(a.c_str(), need(i));
         } else if (a == "--csv") {
             opt.csvPath = need(i);
         } else if (a == "--json") {
@@ -224,13 +226,12 @@ parseArgs(int argc, char **argv)
         } else if (a == "--timeout") {
             opt.timeoutSecs = exp::parseTimeoutSecs(need(i));
         } else if (a == "--fault-seed") {
-            opt.faults.seed =
-                static_cast<std::uint64_t>(std::atoll(need(i)));
+            opt.faults.seed = flagU64(a.c_str(), need(i));
         } else if (a == "--fault-noise") {
             opt.faults.counterNoiseAmp = faultKnob(a, need(i));
         } else if (a == "--fault-noise-bias") {
             // The one signed fault knob (bias direction matters).
-            opt.faults.counterNoiseBias = std::atof(need(i));
+            opt.faults.counterNoiseBias = flagDouble(a.c_str(), need(i));
         } else if (a == "--fault-dropout") {
             opt.faults.counterDropoutProb = faultKnob(a, need(i));
         } else if (a == "--fault-stale") {
@@ -244,13 +245,13 @@ parseArgs(int argc, char **argv)
         } else if (a == "--fault-jitter") {
             opt.faults.epochJitterFrac = faultKnob(a, need(i));
         } else if (a == "--nodes") {
-            opt.nodes = std::atoi(need(i));
+            opt.nodes = flagInt(a.c_str(), need(i));
         } else if (a == "--node-cores") {
-            opt.nodeCores = std::atoi(need(i));
+            opt.nodeCores = flagInt(a.c_str(), need(i));
         } else if (a == "--power-cap") {
-            opt.powerCap = std::atof(need(i));
+            opt.powerCap = flagDouble(a.c_str(), need(i));
         } else if (a == "--cluster-epochs") {
-            opt.clusterEpochs = std::atoi(need(i));
+            opt.clusterEpochs = flagInt(a.c_str(), need(i));
         } else if (a == "--arrival") {
             opt.arrival = need(i);
         } else if (a == "--lb") {

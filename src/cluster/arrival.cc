@@ -1,9 +1,10 @@
 #include "cluster/arrival.hh"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
+#include <optional>
 #include <sstream>
+
+#include "common/parse_num.hh"
 
 namespace coscale {
 namespace cluster {
@@ -51,17 +52,10 @@ double
 parseDouble(const std::string &token, const std::string &value,
             std::size_t offset)
 {
-    errno = 0;
-    const char *begin = value.c_str();
-    char *end = nullptr;
-    double v = std::strtod(begin, &end);
-    if (end == begin || *end != '\0' || errno == ERANGE
-        || !std::isfinite(v)) {
-        throw ArrivalParseError(ArrivalParseError::Kind::BadValue,
-                                token, offset,
-                                "'" + value + "' is not a finite number");
-    }
-    return v;
+    if (std::optional<double> v = coscale::parseDouble(value))
+        return *v;
+    throw ArrivalParseError(ArrivalParseError::Kind::BadValue, token, offset,
+                            "'" + value + "' is not a finite number");
 }
 
 /** Parse a full-token unsigned integer. */
@@ -69,17 +63,10 @@ std::uint64_t
 parseU64(const std::string &token, const std::string &value,
          std::size_t offset)
 {
-    errno = 0;
-    const char *begin = value.c_str();
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(begin, &end, 10);
-    if (end == begin || *end != '\0' || errno == ERANGE
-        || value[0] == '-') {
-        throw ArrivalParseError(
-            ArrivalParseError::Kind::BadValue, token, offset,
-            "'" + value + "' is not an unsigned integer");
-    }
-    return static_cast<std::uint64_t>(v);
+    if (std::optional<std::uint64_t> v = coscale::parseU64(value))
+        return *v;
+    throw ArrivalParseError(ArrivalParseError::Kind::BadValue, token, offset,
+                            "'" + value + "' is not an unsigned integer");
 }
 
 [[noreturn]] void

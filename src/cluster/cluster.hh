@@ -194,7 +194,6 @@ class ClusterSim
         return outcomes;
     }
     const ChurnSummary &churnSummary() const { return churnSum; }
-    const HealthMonitor &healthMonitor() const { return monitor; }
 
     /** Requests parked while no node was routable (counts as queue). */
     std::uint64_t unroutedRequests() const;

@@ -229,7 +229,6 @@ class NodeSim
 
     int id() const { return nodeId; }
     const System &system() const { return sys; }
-    Policy &nodePolicy() { return *policy; }
     std::uint64_t eventsDispatched() const
     {
         return sys.eventsDispatched();

@@ -1,11 +1,12 @@
 #include "exp/bench_options.hh"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "common/log.hh"
+#include "common/parse_num.hh"
 #include "exp/policies.hh"
 
 namespace coscale {
@@ -16,9 +17,9 @@ namespace {
 bool
 parseScale(const char *text, double *out)
 {
-    double v = std::atof(text);
-    if (v > 0.0 && v <= 1.0) {
-        *out = v;
+    std::optional<double> v = parseDouble(text);
+    if (v && *v > 0.0 && *v <= 1.0) {
+        *out = *v;
         return true;
     }
     return false;
@@ -61,12 +62,11 @@ printUsage(const char *prog)
 double
 parseTimeoutSecs(const char *text)
 {
-    char *end = nullptr;
-    double secs = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !std::isfinite(secs) || secs < 0.0)
+    std::optional<double> secs = parseDouble(text);
+    if (!secs || *secs < 0.0)
         fatal("--timeout must be a non-negative number of seconds, "
               "got '%s'", text);
-    return secs;
+    return *secs;
 }
 
 void
@@ -97,10 +97,10 @@ parseBenchArgs(int argc, char **argv, double defaultScale)
             scaleSet = true;
         } else if (std::strcmp(arg, "--jobs") == 0) {
             const char *v = nextValue("--jobs");
-            int n = std::atoi(v);
-            if (n <= 0)
+            std::optional<int> n = parseInt(v);
+            if (!n || *n <= 0)
                 fatal("--jobs must be a positive integer, got '%s'", v);
-            opts.jobs = n;
+            opts.jobs = *n;
         } else if (std::strcmp(arg, "--jsonl") == 0) {
             opts.jsonlPath = nextValue("--jsonl");
         } else if (std::strcmp(arg, "--trace") == 0) {

@@ -7,6 +7,7 @@
 #include <exception>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <typeinfo>
@@ -17,6 +18,7 @@
 #endif
 
 #include "common/log.hh"
+#include "common/parse_num.hh"
 #include "common/thread_annotations.hh"
 
 namespace coscale {
@@ -157,9 +159,9 @@ resolveJobs(int requested)
         return requested;
     // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env probe; the one setenv lives in a single-threaded test
     if (const char *env = std::getenv("COSCALE_JOBS")) {
-        int n = std::atoi(env);
-        if (n > 0)
-            return n;
+        std::optional<int> n = parseInt(env);
+        if (n && *n > 0)
+            return *n;
         warnOnce("engine.jobs.env",
                  "COSCALE_JOBS='%s' is not a positive integer; "
                  "falling back to hardware concurrency", env);

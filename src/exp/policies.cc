@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "policy/coscale_policy.hh"
-#include "policy/fastcap.hh"
 #include "policy/multiscale.hh"
 #include "policy/offline.hh"
 #include "policy/power_cap.hh"
@@ -83,37 +82,26 @@ policyFactoryByName(const std::string &name, int cores, double gamma,
             return std::make_unique<UncoordinatedPolicy>(cores, gamma);
         };
     }
-    if (p == "semi" || p == "semicoordinated") {
-        return [cores, gamma] {
-            return std::make_unique<SemiCoordinatedPolicy>(cores,
-                                                           gamma);
+    if (p == "semi" || p == "semicoordinated" || p == "semialt") {
+        auto phase = p == "semialt" ? SemiCoordinatedPolicy::Phase::Alternate
+                                    : SemiCoordinatedPolicy::Phase::InPhase;
+        return [cores, gamma, phase] {
+            return std::make_unique<SemiCoordinatedPolicy>(cores, gamma,
+                                                           phase);
         };
     }
-    if (p == "semialt") {
-        return [cores, gamma] {
-            return std::make_unique<SemiCoordinatedPolicy>(
-                cores, gamma, SemiCoordinatedPolicy::Phase::Alternate);
-        };
-    }
-    if (p == "coscale") {
-        return [cores, gamma] {
-            return std::make_unique<CoScalePolicy>(cores, gamma);
-        };
-    }
-    if (p == "coscaledvfs") {
-        // Ablation baseline for the generalized knob walk: identical
-        // controller, way-partition dimension held.
-        return [cores, gamma] {
-            CoScaleOptions o;
+    if (p == "coscale" || p == "coscaledvfs" || p == "coscalechipwide") {
+        CoScaleOptions o;
+        if (p == "coscaledvfs") {
+            // Ablation baseline for the generalized knob walk: identical
+            // controller, way-partition dimension held.
             o.useWayPartitioning = false;
             o.nameOverride = "CoScale-DVFS";
-            return std::make_unique<CoScalePolicy>(cores, gamma, o);
-        };
-    }
-    if (p == "coscalechipwide") {
-        return [cores, gamma] {
-            CoScaleOptions o;
+        } else if (p == "coscalechipwide") {
             o.chipWideCpuDvfs = true;
+            o.nameOverride = "CoScale-chipwide";
+        }
+        return [cores, gamma, o] {
             return std::make_unique<CoScalePolicy>(cores, gamma, o);
         };
     }
@@ -127,15 +115,12 @@ policyFactoryByName(const std::string &name, int cores, double gamma,
             return std::make_unique<MultiScalePolicy>(cores, gamma);
         };
     }
-    if (p == "powercap") {
-        return [capWatts] {
-            return std::make_unique<PowerCapPolicy>(capWatts);
-        };
-    }
-    if (p == "fastcap") {
-        return [cores, gamma, capWatts] {
-            return std::make_unique<FastCapPolicy>(cores, gamma,
-                                                   capWatts);
+    if (p == "powercap" || p == "fastcap") {
+        // FastCap is PowerCap that spends leftover headroom.
+        bool spend_headroom = p == "fastcap";
+        return [capWatts, spend_headroom] {
+            return std::make_unique<PowerCapPolicy>(capWatts,
+                                                    spend_headroom);
         };
     }
     return {};

@@ -36,7 +36,7 @@ const std::vector<std::string> &knownPolicyNames();
  * A factory for the named policy, or an empty function for unknown
  * names. Accepts the paper names above plus the CLI spellings from
  * knownPolicyNames(), case-insensitively and ignoring '-', '_' and
- * spaces. @p capWatts only affects powercap.
+ * spaces. @p capWatts only affects powercap and fastcap.
  */
 PolicyFactory policyFactoryByName(const std::string &name, int cores,
                                   double gamma,

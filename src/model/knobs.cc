@@ -40,15 +40,6 @@ KnobSpace::contains(const KnobVector &vec) const
     return true;
 }
 
-KnobVector
-KnobSpace::reference() const
-{
-    KnobVector ref = KnobVector::allMax(numCores);
-    if (llcWays)
-        ref.wayIdx.assign(static_cast<size_t>(numCores), waysTotal);
-    return ref;
-}
-
 std::vector<int>
 KnobSpace::baselinePartition() const
 {
@@ -90,53 +81,6 @@ makeKnobSpace(const EnergyModel &em, const SystemProfile &prof,
     space.waysTotal = prof.waysTotal;
     space.wayFloor = prof.wayFloor;
     space.powerCapW = power_cap_w;
-
-    // Transition latencies are descriptor metadata (nominal actuator
-    // costs: the 30 us core V/f ramp, the DRAM recalibration halt,
-    // a register write for the way masks); the byte-sensitive search
-    // paths never read them.
-    for (int i = 0; i < space.numCores; ++i) {
-        KnobDim d;
-        d.kind = KnobKind::CoreFreq;
-        d.id = i;
-        d.size = space.coreSteps;
-        d.minIdx = 0;
-        d.maxIdx = space.coreSteps - 1;
-        d.transitionSecs = 30e-6;
-        space.dims.push_back(d);
-    }
-    {
-        KnobDim d;
-        d.kind = KnobKind::MemFreq;
-        d.id = 0;
-        d.size = space.memSteps;
-        d.minIdx = 0;
-        d.maxIdx = space.memSteps - 1;
-        d.transitionSecs = 1e-6;
-        space.dims.push_back(d);
-    }
-    for (int ch = 0; ch < space.numChannels; ++ch) {
-        KnobDim d;
-        d.kind = KnobKind::ChanFreq;
-        d.id = ch;
-        d.size = space.memSteps;
-        d.minIdx = 0;
-        d.maxIdx = space.memSteps - 1;
-        d.transitionSecs = 1e-6;
-        space.dims.push_back(d);
-    }
-    if (space.llcWays) {
-        for (int i = 0; i < space.numCores; ++i) {
-            KnobDim d;
-            d.kind = KnobKind::LlcWay;
-            d.id = i;
-            d.size = space.waysTotal + 1;
-            d.minIdx = space.wayFloor;
-            d.maxIdx = space.waysTotal;
-            d.transitionSecs = 0.0;
-            space.dims.push_back(d);
-        }
-    }
     return space;
 }
 

@@ -63,31 +63,12 @@ struct KnobVector
     }
 };
 
-/** The knob families a dimension can belong to. */
-enum class KnobKind { CoreFreq, MemFreq, ChanFreq, LlcWay };
-
 /**
- * One scalar dimension of the space: which family, which instance
- * (core or channel id), its index range, and the nominal transition
- * latency the actuator pays (descriptor metadata for callers that
- * budget transitions; the byte-sensitive paths do not read it).
- */
-struct KnobDim
-{
-    KnobKind kind = KnobKind::CoreFreq;
-    int id = 0;          //!< core or channel index; 0 for MemFreq
-    int size = 0;        //!< number of settings (ladder steps / ways)
-    int minIdx = 0;      //!< lowest legal index (QoS floor for ways)
-    int maxIdx = 0;      //!< highest legal index
-    double transitionSecs = 0.0; //!< nominal actuator latency
-};
-
-/**
- * The search space a system exposes: dimension roster, bounds, and
- * the power cap expressed as a feasibility predicate (`underCap`)
- * instead of a dedicated search mode. Built from the live system via
- * makeKnobSpace(); policies walk it instead of hard-coding
- * `em.cores().size()` / `em.mem().size()`.
+ * The search space a system exposes: ladder bounds, the way budget
+ * and floor, and the power cap expressed as a feasibility predicate
+ * (`underCap`) instead of a dedicated search mode. Built from the
+ * live system via makeKnobSpace(); policies walk it instead of
+ * hard-coding `em.cores().size()` / `em.mem().size()`.
  */
 struct KnobSpace
 {
@@ -100,19 +81,9 @@ struct KnobSpace
     int wayFloor = 1;     //!< QoS floor: min ways per core
     /** Feasibility cap in watts; +inf means uncapped. */
     double powerCapW = std::numeric_limits<double>::infinity();
-    std::vector<KnobDim> dims;
 
     /** Is @p vec a well-formed member of this space? */
     bool contains(const KnobVector &vec) const;
-
-    /**
-     * The modeling reference: all-max frequencies, and — when the
-     * way dimension is present — every core at the full
-     * associativity (each core's best case, like the paper's
-     * all-max; the sum may exceed W deliberately, it is a modeling
-     * bound, not an applicable partition).
-     */
-    KnobVector reference() const;
 
     /**
      * The power-cap feasibility predicate: predicted system power of
@@ -124,10 +95,9 @@ struct KnobSpace
 
     /**
      * The baseline partition of this space: the even split the System
-     * installs at construction (see evenWaySplit()). This — not
-     * reference()'s per-core best case — is the partition the
-     * measured performance bound is taken against, since the baseline
-     * policy never moves it.
+     * installs at construction (see evenWaySplit()). This is the
+     * partition the measured performance bound is taken against, since
+     * the baseline policy never moves it.
      */
     std::vector<int> baselinePartition() const;
 };

@@ -118,8 +118,6 @@ class CoScalePolicy : public Policy
     void observeEpoch(const EpochObservation &obs,
                       const EnergyModel &em) override;
 
-    const SlackTracker &slack() const { return tracker; }
-
     double slackGamma() const override { return tracker.gamma(); }
 
     const SlackTracker *slackLedger() const override { return &tracker; }

@@ -1,6 +1,7 @@
 #include "policy/multiscale.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/log.hh"
 #include "model/knobs.hh"
@@ -30,11 +31,12 @@ channelPower(const EnergyModel &em, const MemProfile &chan,
         .total();
 }
 
-} // namespace
-
+/**
+ * Reference (all-max) TPI of core @p i, evaluated against its home
+ * channel's profile when one exists.
+ */
 double
-MultiScalePolicy::refTpiOf(const SystemProfile &prof,
-                           const EnergyModel &em, int i) const
+refTpiOf(const SystemProfile &prof, const EnergyModel &em, int i)
 {
     const CoreProfile &c = prof.cores[static_cast<size_t>(i)];
     const MemProfile &mem =
@@ -46,12 +48,13 @@ MultiScalePolicy::refTpiOf(const SystemProfile &prof,
                                   em.mem().fMax());
 }
 
+} // namespace
+
 FreqConfig
 MultiScalePolicy::decide(const SystemProfile &profile,
-                         const EnergyModel &em, const FreqConfig &current,
+                         const EnergyModel &em, const FreqConfig &,
                          Tick epoch_len)
 {
-    (void)current;
     int n = static_cast<int>(profile.cores.size());
     int channels = static_cast<int>(profile.channels.size());
     const PerfModel &perf = em.perfModel();
@@ -69,7 +72,6 @@ MultiScalePolicy::decide(const SystemProfile &profile,
 
     if (channels == 0) {
         // No per-channel profile available: behave like MemScale.
-        std::vector<double> ref = refTpis(em, profile, cfg);
         SearchStats stats;
         cfg.memIdx = memOnlyBest(em, profile, cfg.coreIdx, allowed,
                                  obsEnabled() ? &stats : nullptr);
@@ -90,7 +92,8 @@ MultiScalePolicy::decide(const SystemProfile &profile,
     // core's traffic goes to one channel), so a joint optimum is a
     // cap-scan: for every achievable worst-slowdown cap, each channel
     // independently drops as deep as the cap and the per-core bounds
-    // allow, and the SER couples them through max() and sum().
+    // allow, and the SER couples them through max() and sum()
+    // (search_common.hh's capScan).
     std::vector<std::vector<double>> t_rel(
         static_cast<size_t>(channels),
         std::vector<double>(static_cast<size_t>(mem_steps), 1.0));
@@ -99,7 +102,6 @@ MultiScalePolicy::decide(const SystemProfile &profile,
         std::vector<double>(static_cast<size_t>(mem_steps), 0.0));
     std::vector<int> deepest(static_cast<size_t>(channels), 0);
     std::vector<double> caps;
-    caps.push_back(1.0);
 
     for (int ch = 0; ch < channels; ++ch) {
         const MemProfile &chan =
@@ -142,41 +144,25 @@ MultiScalePolicy::decide(const SystemProfile &profile,
             caps.push_back(worst);
         }
     }
-    std::sort(caps.begin(), caps.end());
-    caps.erase(std::unique(caps.begin(), caps.end()), caps.end());
-
     double p_mem_max = 0.0;
     for (int ch = 0; ch < channels; ++ch)
         p_mem_max += p_ch[static_cast<size_t>(ch)][0];
 
     cfg.chanIdx.assign(static_cast<size_t>(channels), 0);
-    double best_ser = 1.0;
-    std::uint64_t candidates = 0;
     std::vector<int> pick(static_cast<size_t>(channels), 0);
-    for (double cap : caps) {
-        double worst = 1.0;
-        double p_mem = 0.0;
-        for (int ch = 0; ch < channels; ++ch) {
-            size_t sc = static_cast<size_t>(ch);
-            int m_pick = 0;
-            for (int m = deepest[sc]; m >= 1; --m) {
-                if (t_rel[sc][static_cast<size_t>(m)] <= cap) {
-                    m_pick = m;
-                    break;
-                }
+    std::uint64_t candidates = 0;
+    double best_ser = capScan(
+        t_rel, deepest, std::move(caps), 1.0, cfg.chanIdx, pick, candidates,
+        [&] {
+            double worst = 1.0;
+            double p_mem = 0.0;
+            for (size_t sc = 0; sc < pick.size(); ++sc) {
+                size_t m = static_cast<size_t>(pick[sc]);
+                worst = std::max(worst, t_rel[sc][m]);
+                p_mem += p_ch[sc][m];
             }
-            pick[sc] = m_pick;
-            worst = std::max(
-                worst, t_rel[sc][static_cast<size_t>(m_pick)]);
-            p_mem += p_ch[sc][static_cast<size_t>(m_pick)];
-        }
-        double ser = worst * (p_base - p_mem_max + p_mem) / p_base;
-        candidates += 1;
-        if (ser < best_ser) {
-            best_ser = ser;
-            cfg.chanIdx = pick;
-        }
-    }
+            return worst * (p_base - p_mem_max + p_mem) / p_base;
+        });
 
     // Report the shallowest channel as the nominal uniform index for
     // loggers that only understand memIdx.

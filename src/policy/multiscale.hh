@@ -11,8 +11,9 @@
  *
  * MultiScalePolicy manages only the memory channels (cores stay at
  * maximum, as in the MemScale/MultiScale line of work); it keeps
- * per-application slack and picks each channel's frequency by a
- * greedy SER walk over that channel's own profile.
+ * per-application slack and picks every channel's frequency jointly
+ * with the shared cap-scan (search_common.hh), each channel priced
+ * on its own profile.
  */
 
 #ifndef COSCALE_POLICY_MULTISCALE_HH
@@ -23,14 +24,14 @@
 
 namespace coscale {
 
-/** Per-channel memory-DVFS controller. */
-class MultiScalePolicy final : public Policy
+/**
+ * Per-channel memory-DVFS controller. Its slack ledger takes each
+ * core's all-max reference against the core's home channel.
+ */
+class MultiScalePolicy final : public TrackedPolicy
 {
   public:
-    MultiScalePolicy(int num_apps, double gamma)
-        : tracker(num_apps, gamma)
-    {
-    }
+    using TrackedPolicy::TrackedPolicy;
 
     std::string name() const override { return "MultiScale"; }
 
@@ -39,22 +40,6 @@ class MultiScalePolicy final : public Policy
 
     void observeEpoch(const EpochObservation &obs,
                       const EnergyModel &em) override;
-
-    const SlackTracker &slack() const { return tracker; }
-
-    double slackGamma() const override { return tracker.gamma(); }
-
-    const SlackTracker *slackLedger() const override { return &tracker; }
-
-  private:
-    /**
-     * Reference (all-max) TPI of core @p i, evaluated against its
-     * home channel's profile when one exists.
-     */
-    double refTpiOf(const SystemProfile &prof, const EnergyModel &em,
-                    int i) const;
-
-    SlackTracker tracker;
 };
 
 } // namespace coscale

@@ -1,12 +1,20 @@
 /**
  * @file
- * Power-capping extension (Section 2.3: "CoScale can be readily
- * extended to cap power with appropriate changes to its decision
- * algorithm"). Instead of minimising SER under a performance bound,
- * the capped variant minimises performance loss subject to a
- * full-system power ceiling: the same greedy walk takes the
- * highest-utility (delta power / delta performance) steps until the
- * predicted system power fits under the cap.
+ * Power capping (Section 2.3: "CoScale can be readily extended to cap
+ * power with appropriate changes to its decision algorithm"): minimise
+ * performance loss subject to a full-system power ceiling, by the same
+ * greedy walk taking the highest-utility (delta power / delta
+ * performance) steps until the predicted power fits under the cap.
+ *
+ * With headroom spending on, this is FastCap's per-node agent
+ * (PAPERS.md): after the descent it takes the single step back up that
+ * most reduces predicted relative time while still fitting, until none
+ * does — the maximise-minimum-performance fairness rule. The cluster
+ * allocator pushes each node's grant in through setPowerCap().
+ *
+ * Deliberately no slackLedger(): safeDecide()'s slack-exhaustion escape
+ * hatch would jump to all-max frequencies and blow the granted budget;
+ * for a capped node the power bound dominates the performance bound.
  */
 
 #ifndef COSCALE_POLICY_POWER_CAP_HH
@@ -16,30 +24,25 @@
 
 namespace coscale {
 
-/**
- * The shared capping walk: start from all-max and greedily take the
- * highest-utility (delta power / delta performance) single step —
- * one memory rung or one rung on one core — until the predicted
- * system power fits under @p target_w. Sets *over_cap when even
- * all-min cannot fit; accumulates search telemetry into
- * *candidates / *mem_steps (all three pointers required). Used by
- * PowerCapPolicy and FastCapPolicy.
- */
-FreqConfig greedyCapDescent(const SystemProfile &profile,
-                            const EnergyModel &em, double target_w,
-                            bool *over_cap, std::uint64_t *candidates,
-                            std::uint64_t *mem_steps);
-
 /** Greedy power-capping controller built on the CoScale machinery. */
 class PowerCapPolicy final : public Policy
 {
   public:
-    explicit PowerCapPolicy(double cap_watts)
-        : capWatts(cap_watts)
+    /**
+     * @param cap_watts initial power cap; updated via setPowerCap()
+     * @param spend_headroom after fitting under the cap, spend the
+     *        leftover headroom on performance (FastCap)
+     */
+    explicit PowerCapPolicy(double cap_watts, bool spend_headroom = false)
+        : capWatts(cap_watts), spendHeadroom(spend_headroom)
     {
     }
 
-    std::string name() const override { return "PowerCap"; }
+    std::string
+    name() const override
+    {
+        return spendHeadroom ? "FastCap" : "PowerCap";
+    }
 
     FreqConfig decide(const SystemProfile &profile, const EnergyModel &em,
                       const FreqConfig &current, Tick epoch_len) override;
@@ -58,6 +61,7 @@ class PowerCapPolicy final : public Policy
 
   private:
     double capWatts;
+    bool spendHeadroom;
     bool overCap = false;
 };
 

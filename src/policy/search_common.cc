@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/log.hh"
 #include "model/knobs.hh"
@@ -65,16 +66,14 @@ capScanBestForMem(const SerEvaluator &ev, const EnergyModel &em,
     int n = static_cast<int>(profile.cores.size());
     int steps = em.cores().size();
 
-    // Per core: TPI and slowdown ratio at every frequency, and the
-    // deepest admissible index.
+    // Per core: slowdown ratio at every frequency, and the deepest
+    // admissible index.
     std::vector<std::vector<double>> ratio(
-        static_cast<size_t>(n), std::vector<double>(static_cast<size_t>(steps)));
+        static_cast<size_t>(n),
+        std::vector<double>(static_cast<size_t>(steps)));
     std::vector<int> deepest(static_cast<size_t>(n), 0);
     std::vector<double> caps;
-    caps.push_back(1.0);
 
-    (void)em;
-    (void)profile;
     for (int i = 0; i < n; ++i) {
         double t_max = ev.tpiAtMax(i);
         for (int c = 0; c < steps; ++c) {
@@ -89,40 +88,18 @@ capScanBestForMem(const SerEvaluator &ev, const EnergyModel &em,
             }
         }
     }
-    std::sort(caps.begin(), caps.end());
-    caps.erase(std::unique(caps.begin(), caps.end()), caps.end());
 
     FreqConfig best = FreqConfig::allMax(n);
     best.memIdx = mem_idx;
-    out_ser = ev.ser(best);
-    if (stats)
-        stats->candidates += 1;
-
+    std::uint64_t candidates = 1;
     FreqConfig cand = best;
-    for (double cap : caps) {
-        for (int i = 0; i < n; ++i) {
-            // Lowest frequency (deepest index) whose slowdown stays
-            // within the cap and whose TPI is admissible.
-            int pick = 0;
-            for (int c = deepest[static_cast<size_t>(i)]; c >= 1; --c) {
-                if (ratio[static_cast<size_t>(i)][static_cast<size_t>(c)]
-                    <= cap) {
-                    pick = c;
-                    break;
-                }
-            }
-            cand.coreIdx[static_cast<size_t>(i)] = pick;
-        }
-        double s = ev.ser(cand);
-        if (stats)
-            stats->candidates += 1;
-        if (s < out_ser) {
-            out_ser = s;
-            best = cand;
-        }
-    }
-    if (stats)
+    out_ser = capScan(ratio, deepest, std::move(caps), ev.ser(best),
+                      best.coreIdx, cand.coreIdx, candidates,
+                      [&] { return ev.ser(cand); });
+    if (stats) {
+        stats->candidates += candidates;
         stats->bestSer = out_ser;
+    }
     return best;
 }
 

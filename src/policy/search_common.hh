@@ -11,12 +11,16 @@
  * worst-case slowdown cap and letting each core drop to its lowest
  * admissible frequency under that cap therefore covers the whole
  * Pareto frontier of the exponential configuration space exactly
- * (see DESIGN.md). CPUOnly and Offline use this.
+ * (see DESIGN.md). The same structure holds for MultiScale's memory
+ * channels, so both searches run the one capScan() below.
  */
 
 #ifndef COSCALE_POLICY_SEARCH_COMMON_HH
 #define COSCALE_POLICY_SEARCH_COMMON_HH
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "policy/policy.hh"
@@ -33,6 +37,50 @@ struct SearchStats
     std::uint64_t candidates = 0;
     double bestSer = -1.0;  //!< winning SER; negative = not recorded
 };
+
+/**
+ * The cap-scan over independent units (cores at one memory index, or
+ * memory channels). For each distinct cap in @p caps and 1.0, each unit
+ * u drops to the deepest index <= deepest[u] whose slowdown[u][m] is
+ * within the cap, written into @p pick (one index per unit, sized by
+ * the caller, who may let it alias the configuration @p price reads),
+ * and @p price() returns that pick's SER; one candidate is counted per
+ * cap. @p best holds the starting pick on entry and the winner on
+ * return; the return value is its SER, or @p best_ser if no cap beat
+ * it. The pricing callable is a template parameter, and nothing is
+ * allocated per cap, because Offline runs this loop for every memory
+ * step.
+ */
+template <typename Price>
+double
+capScan(const std::vector<std::vector<double>> &slowdown,
+        const std::vector<int> &deepest, std::vector<double> caps,
+        double best_ser, std::vector<int> &best, std::vector<int> &pick,
+        std::uint64_t &candidates, Price &&price)
+{
+    caps.push_back(1.0);
+    std::sort(caps.begin(), caps.end());
+    caps.erase(std::unique(caps.begin(), caps.end()), caps.end());
+    for (double cap : caps) {
+        for (std::size_t u = 0; u < deepest.size(); ++u) {
+            int p = 0;
+            for (int m = deepest[u]; m >= 1; --m) {
+                if (slowdown[u][static_cast<std::size_t>(m)] <= cap) {
+                    p = m;
+                    break;
+                }
+            }
+            pick[u] = p;
+        }
+        double s = price();
+        candidates += 1;
+        if (s < best_ser) {
+            best_ser = s;
+            best = pick;
+        }
+    }
+    return best_ser;
+}
 
 /**
  * Per-core reference TPIs (predicted at configuration @p ref).

@@ -67,7 +67,11 @@ class SemiCoordinatedPolicy final : public TrackedPolicy
     {
     }
 
-    std::string name() const override { return "Semi-coordinated"; }
+    std::string
+    name() const override
+    {
+        return phase == Phase::Alternate ? "Semi-alt" : "Semi-coordinated";
+    }
 
     FreqConfig decide(const SystemProfile &profile, const EnergyModel &em,
                       const FreqConfig &current, Tick epoch_len) override;

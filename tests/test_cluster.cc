@@ -11,7 +11,8 @@
  *    — the cross-platform bit-identity contract),
  *  - exp::parallelFor execution semantics (every index runs exactly
  *    once, failures don't abort the pool, lowest failing index wins),
- *  - FastCapPolicy cap/fairness behaviour on a synthetic profile,
+ *  - FastCap (PowerCapPolicy spending headroom) cap/fairness
+ *    behaviour on a synthetic profile,
  *  - ClusterSim properties: the global cap is never exceeded at any
  *    cluster epoch, per-node grants sum under the budget, queue
  *    accounting balances, and a 32-node run is byte-identical between
@@ -36,7 +37,6 @@
 #include "cluster/cluster.hh"
 #include "exp/engine.hh"
 #include "obs/trace_sink.hh"
-#include "policy/fastcap.hh"
 #include "policy/power_cap.hh"
 
 #include "golden_util.hh"
@@ -691,7 +691,7 @@ TEST(ParallelFor, ZeroIterationsIsANoOp)
     EXPECT_EQ(calls.load(), 0);
 }
 
-// --- FastCapPolicy on a synthetic profile ---
+// --- FastCap (PowerCapPolicy spending headroom) on a synthetic profile ---
 
 CoreProfile
 mkCore(double cyc, double alpha, double beta, double stall_ns)
@@ -777,7 +777,7 @@ struct FastCapFixture : ::testing::Test
 
 TEST_F(FastCapFixture, GenerousCapRunsFlatOut)
 {
-    FastCapPolicy p(n(), 0.10, maxPower() * 1.2);
+    PowerCapPolicy p(maxPower() * 1.2, /*spend_headroom=*/true);
     FreqConfig cfg =
         p.decide(prof, em, FreqConfig::allMax(n()), epochLen);
     EXPECT_EQ(cfg.coreIdx, FreqConfig::allMax(n()).coreIdx);
@@ -789,7 +789,7 @@ TEST_F(FastCapFixture, GenerousCapRunsFlatOut)
 TEST_F(FastCapFixture, DecisionFitsUnderTheCap)
 {
     double cap = 0.5 * (minPower() + maxPower());
-    FastCapPolicy p(n(), 0.10, cap);
+    PowerCapPolicy p(cap, /*spend_headroom=*/true);
     FreqConfig cfg =
         p.decide(prof, em, FreqConfig::allMax(n()), epochLen);
     EXPECT_FALSE(p.lastDecisionOverCap());
@@ -803,7 +803,7 @@ TEST_F(FastCapFixture, SpendsHeadroomAtLeastAsWellAsPowerCap)
     // capping descent it starts from.
     for (double f : {0.3, 0.5, 0.7, 0.9}) {
         double cap = minPower() + f * (maxPower() - minPower());
-        FastCapPolicy fc(n(), 0.10, cap);
+        PowerCapPolicy fc(cap, /*spend_headroom=*/true);
         PowerCapPolicy pc(cap);
         FreqConfig a =
             fc.decide(prof, em, FreqConfig::allMax(n()), epochLen);
@@ -824,7 +824,7 @@ TEST_F(FastCapFixture, PerformanceIsMonotoneInTheCap)
     double prev_rel = 1e9;
     for (double f : {0.2, 0.4, 0.6, 0.8, 1.1}) {
         double cap = minPower() + f * (maxPower() - minPower());
-        FastCapPolicy p(n(), 0.10, cap);
+        PowerCapPolicy p(cap, /*spend_headroom=*/true);
         FreqConfig cfg =
             p.decide(prof, em, FreqConfig::allMax(n()), epochLen);
         double rel = em.relativeTime(prof, cfg);
@@ -835,7 +835,7 @@ TEST_F(FastCapFixture, PerformanceIsMonotoneInTheCap)
 
 TEST_F(FastCapFixture, InfeasibleCapPinsAllMinAndFlagsOverCap)
 {
-    FastCapPolicy p(n(), 0.10, minPower() * 0.5);
+    PowerCapPolicy p(minPower() * 0.5, /*spend_headroom=*/true);
     FreqConfig cfg =
         p.decide(prof, em, FreqConfig::allMax(n()), epochLen);
     EXPECT_TRUE(p.lastDecisionOverCap());
@@ -845,7 +845,7 @@ TEST_F(FastCapFixture, InfeasibleCapPinsAllMinAndFlagsOverCap)
 
 TEST_F(FastCapFixture, SetPowerCapRetargetsTheNextDecision)
 {
-    FastCapPolicy p(n(), 0.10, maxPower() * 1.2);
+    PowerCapPolicy p(maxPower() * 1.2, /*spend_headroom=*/true);
     FreqConfig wide =
         p.decide(prof, em, FreqConfig::allMax(n()), epochLen);
     double tight = 0.4 * (minPower() + maxPower()) / 2.0

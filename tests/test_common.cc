@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common module: tick/unit conversions, frequency
- * ladders and the voltage map, the RNG distributions, and CSV output.
+ * ladders and the voltage map, the RNG distributions, CSV output, and
+ * strict number parsing.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 
 #include "common/csv.hh"
 #include "common/dvfs.hh"
+#include "common/parse_num.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 
@@ -170,6 +172,36 @@ TEST(Csv, WritesRowsToFile)
     ss << in.rdbuf();
     EXPECT_EQ(ss.str(), "a,b,c\n1,2.5,x\ny,3,4.25\n");
     std::remove(path.c_str());
+}
+
+TEST(ParseNum, WholeTokenOrNothing)
+{
+    EXPECT_EQ(parseDouble("2.5"), 2.5);
+    EXPECT_EQ(parseDouble("-1e3"), -1000.0);
+    for (const char *bad :
+         {"", "abc", "2x", "0.5x", "nan", "inf", "1e999", " 2"})
+        EXPECT_FALSE(parseDouble(bad).has_value()) << bad;
+
+    EXPECT_EQ(parseInt("16"), 16);
+    EXPECT_EQ(parseInt("-3"), -3);
+    for (const char *bad : {"", "abc", "2x", "1.5", "99999999999"})
+        EXPECT_FALSE(parseInt(bad).has_value()) << bad;
+
+    EXPECT_EQ(parseU64("18446744073709551615"),
+              std::uint64_t{18446744073709551615ULL});
+    for (const char *bad : {"", "-1", " -1", "7s", "18446744073709551616"})
+        EXPECT_FALSE(parseU64(bad).has_value()) << bad;
+}
+
+TEST(ParseNum, FlagParsersAreFatalOnJunk)
+{
+    EXPECT_EQ(flagInt("--cores", "4"), 4);
+    EXPECT_EXIT(flagInt("--cores", "abc"), ::testing::ExitedWithCode(1),
+                "--cores must be an integer, got 'abc'");
+    EXPECT_EXIT(flagDouble("--cap", "2x"), ::testing::ExitedWithCode(1),
+                "--cap must be a finite number, got '2x'");
+    EXPECT_EXIT(flagU64("--seed", "-1"), ::testing::ExitedWithCode(1),
+                "--seed must be an unsigned integer");
 }
 
 } // namespace

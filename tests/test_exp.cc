@@ -352,6 +352,17 @@ TEST(BenchOptions, RejectsMalformedTimeout)
                 ::testing::ExitedWithCode(1), "--timeout must be");
 }
 
+TEST(BenchOptions, RejectsTrailingCharactersInNumbers)
+{
+    // atoi/atof would read these as 2 jobs and scale 0.5.
+    const char *jobs[] = {"prog", "--jobs", "2x"};
+    EXPECT_EXIT(exp::parseBenchArgs(3, const_cast<char **>(jobs)),
+                ::testing::ExitedWithCode(1), "--jobs must be");
+    const char *scale[] = {"prog", "--scale", "0.5x"};
+    EXPECT_EXIT(exp::parseBenchArgs(3, const_cast<char **>(scale)),
+                ::testing::ExitedWithCode(1), "--scale must be");
+}
+
 TEST(Digest, SensitiveToEveryRelevantKnob)
 {
     SystemConfig cfg = smallConfig();

@@ -7,7 +7,8 @@ that would break bit-identical runs, unordered-container iteration
 that would scramble golden JSONL fixtures, raw asserts that bypass
 the COSCALE_CHECK reporting path, unguarded mutable globals that
 break run purity, raw std::mutex uses that dodge the clang
-thread-safety annotations, and uninitialized scalar struct members.
+thread-safety annotations, uninitialized scalar struct members, and
+lenient atoi-family number parsing.
 
 Usage:
     coscale_lint.py [paths...]            # default: <repo>/src
@@ -193,6 +194,17 @@ RULES = {
         # the devices themselves) are legitimate callers.
         "only": ["src/policy/"],
     },
+    "lenient-number-parse": {
+        "desc": "atoi/atof/atol/atoll parse user text leniently",
+        "why": "the atoi family reads 'abc' as 0 and '2x' as 2 and "
+               "reports no error, so a typo in a flag, environment "
+               "variable or spec silently becomes a different run "
+               "(0 cores, a disabled fault plan, a 2 W cap).",
+        "hint": "use parseDouble/parseInt/parseU64 or the fatal-on-"
+                "error flagDouble/flagInt/flagU64 (common/parse_num.hh)",
+        "exempt": [],
+        "only": ["src/"],
+    },
     # Meta-rules about the suppression mechanism itself.
     "bad-suppression": {
         "desc": "coscale-lint allow() without a justification",
@@ -355,6 +367,10 @@ BANNED_CALL_RULES = [
                 r"(time|clock|gettimeofday|clock_gettime|ftime|"
                 r"localtime|localtime_r|gmtime|gmtime_r|mktime)\s*\("),
      "wall-clock call '%s('"),
+    ("lenient-number-parse",
+     re.compile(r"(?<![\w.>:])(?:std\s*::\s*)?(atoi|atof|atol|atoll)"
+                r"\s*\("),
+     "'%s(' accepts malformed numbers silently"),
     ("memctrl-set-frequency-index",
      re.compile(r"\b(setFrequencyIndex|setChannelFrequencyIndex)"
                 r"\s*\("),
