@@ -43,7 +43,8 @@
  *     --list-policies    print the registered policy roster and exit
  *
  *   Numeric values must be numbers in full: '--cores abc' or
- *   '--cap 2x' is a fatal error, not 0 cores or a 2 W cap.
+ *   '--cap 2x' is a fatal error, not 0 cores or a 2 W cap; so is an
+ *   out-of-range count or wattage ('--cores 0', '--cap -10').
  *
  *   Cluster mode (src/cluster/; --nodes > 0 switches to it):
  *     --nodes N          simulate an N-node fleet (0 = single node)
@@ -140,13 +141,23 @@ struct Options
     std::string churn;
 };
 
-/** Parse a probability/amplitude fault knob; reject negatives. */
+/** Parse a number that must be non-negative (a fault knob, a budget). */
 double
-faultKnob(const std::string &flag, const char *v)
+nonNegative(const std::string &flag, const char *v)
 {
     double x = flagDouble(flag.c_str(), v);
     if (x < 0.0)
         fatal("%s must be non-negative, got '%s'", flag.c_str(), v);
+    return x;
+}
+
+/** Parse an integer that must be at least @p lo. */
+int
+intAtLeast(const std::string &flag, const char *v, int lo)
+{
+    int x = flagInt(flag.c_str(), v);
+    if (x < lo)
+        fatal("%s must be >= %d, got '%s'", flag.c_str(), lo, v);
     return x;
 }
 
@@ -171,10 +182,12 @@ parseArgs(int argc, char **argv)
             opt.bound = flagDouble(a.c_str(), need(i));
         } else if (a == "--cap") {
             opt.cap = flagDouble(a.c_str(), need(i));
+            if (!(opt.cap > 0.0))
+                fatal("--cap must be positive, got '%s'", argv[i]);
         } else if (a == "--cores") {
-            opt.cores = flagInt(a.c_str(), need(i));
+            opt.cores = intAtLeast(a, need(i), 1);
         } else if (a == "--jobs") {
-            opt.jobs = flagInt(a.c_str(), need(i));
+            opt.jobs = intAtLeast(a, need(i), 0);
         } else if (a == "--ooo") {
             opt.ooo = true;
         } else if (a == "--prefetch") {
@@ -228,30 +241,30 @@ parseArgs(int argc, char **argv)
         } else if (a == "--fault-seed") {
             opt.faults.seed = flagU64(a.c_str(), need(i));
         } else if (a == "--fault-noise") {
-            opt.faults.counterNoiseAmp = faultKnob(a, need(i));
+            opt.faults.counterNoiseAmp = nonNegative(a, need(i));
         } else if (a == "--fault-noise-bias") {
             // The one signed fault knob (bias direction matters).
             opt.faults.counterNoiseBias = flagDouble(a.c_str(), need(i));
         } else if (a == "--fault-dropout") {
-            opt.faults.counterDropoutProb = faultKnob(a, need(i));
+            opt.faults.counterDropoutProb = nonNegative(a, need(i));
         } else if (a == "--fault-stale") {
-            opt.faults.counterStaleProb = faultKnob(a, need(i));
+            opt.faults.counterStaleProb = nonNegative(a, need(i));
         } else if (a == "--fault-deny") {
-            opt.faults.transitionDenyProb = faultKnob(a, need(i));
+            opt.faults.transitionDenyProb = nonNegative(a, need(i));
         } else if (a == "--fault-delay") {
-            opt.faults.transitionDelayProb = faultKnob(a, need(i));
+            opt.faults.transitionDelayProb = nonNegative(a, need(i));
         } else if (a == "--fault-clamp") {
-            opt.faults.transitionClampProb = faultKnob(a, need(i));
+            opt.faults.transitionClampProb = nonNegative(a, need(i));
         } else if (a == "--fault-jitter") {
-            opt.faults.epochJitterFrac = faultKnob(a, need(i));
+            opt.faults.epochJitterFrac = nonNegative(a, need(i));
         } else if (a == "--nodes") {
-            opt.nodes = flagInt(a.c_str(), need(i));
+            opt.nodes = intAtLeast(a, need(i), 0);
         } else if (a == "--node-cores") {
-            opt.nodeCores = flagInt(a.c_str(), need(i));
+            opt.nodeCores = intAtLeast(a, need(i), 1);
         } else if (a == "--power-cap") {
-            opt.powerCap = flagDouble(a.c_str(), need(i));
+            opt.powerCap = nonNegative(a, need(i));
         } else if (a == "--cluster-epochs") {
-            opt.clusterEpochs = flagInt(a.c_str(), need(i));
+            opt.clusterEpochs = intAtLeast(a, need(i), 1);
         } else if (a == "--arrival") {
             opt.arrival = need(i);
         } else if (a == "--lb") {
@@ -360,14 +373,7 @@ runCluster(const Options &opt)
     Options nopt = opt;
     nopt.cores = opt.nodeCores;
     ccfg.node = makeConfig(nopt);
-    // Node-sizing, as cluster::makeNodeConfig: no warmup (a warming
-    // node runs all-max through any cap) and a one-channel memory
-    // system (a 2-core node with the 16-core server's four channels
-    // would be all background power).
-    ccfg.node.warmupEpochs = 0;
-    ccfg.node.geom.channels = 1;
-    ccfg.node.geom.dimmsPerChannel = 1;
-    ccfg.node.power.geom = ccfg.node.geom;
+    cluster::applyNodeSizing(ccfg.node, opt.nodeCores);
     ccfg.mix = opt.mix;
     ccfg.policy = opt.policy;
     ccfg.budgetW = opt.powerCap;

@@ -63,9 +63,10 @@ fastcapAllocate(double budget_w,
 
     if (budget_w <= sum_min) {
         // The budget cannot cover the floors: scale the minima
-        // proportionally. Every node will report overCap and pin
-        // all-min; the measured shortfall is the operator's signal
-        // that the budget is infeasible, not silently hidden.
+        // proportionally. Every node's policy finds itself over its
+        // cap and pins all-min; the measured shortfall is the
+        // operator's signal that the budget is infeasible, not
+        // silently hidden.
         if (sum_min <= 0.0) {
             double even = budget_w / static_cast<double>(n);
             grants.assign(n, even);

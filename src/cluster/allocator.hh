@@ -82,7 +82,7 @@ struct NodePowerDemand
  *
  * When the budget cannot even cover the minima, grants scale the
  * minima proportionally — every node is over-capped and its
- * controller pins all-min (the overCap condition nodes report).
+ * controller pins all-min (PowerCapPolicy's over-cap condition).
  * Stale reservations scale down with everyone else's floors in that
  * regime: the budget stays a hard invariant even mid-churn.
  */

@@ -60,10 +60,9 @@ lbPolicyName(LbPolicy lb)
     return "?";
 }
 
-SystemConfig
-makeNodeConfig(double scale, int cores)
+void
+applyNodeSizing(SystemConfig &c, int cores)
 {
-    SystemConfig c = makeScaledConfig(scale);
     COSCALE_CHECK(cores >= 1 && cores <= c.numCores,
                   "node cores must be in [1, %d]", c.numCores);
     c.numCores = cores;
@@ -80,6 +79,13 @@ makeNodeConfig(double scale, int cores)
     // 16 ways) would otherwise open the partition gate under CI's
     // COSCALE_KNOB_LLC_WAYS=1 leg and break the cluster goldens.
     c.knobs.llcWays = false;
+}
+
+SystemConfig
+makeNodeConfig(double scale, int cores)
+{
+    SystemConfig c = makeScaledConfig(scale);
+    applyNodeSizing(c, cores);
     return c;
 }
 
@@ -127,13 +133,8 @@ ClusterSim::ClusterSim(const ClusterConfig &cfg_in)
         // Safe boot: a capped fleet starts all-min, so epoch 0 (which
         // profiles under the boot configuration) stays under any
         // feasible budget instead of opening flat-out at all-max.
-        FreqConfig low;
-        low.coreIdx.assign(
-            static_cast<size_t>(cfg.node.numCores),
-            cfg.node.coreLadder.size() - 1);
-        low.memIdx = cfg.node.memLadder.size() - 1;
         for (std::unique_ptr<NodeSim> &nd : nodes)
-            nd->presetConfig(low);
+            nd->bootAllMin();
     }
     outcomes.assign(static_cast<size_t>(cfg.numNodes),
                     NodeEpochOutcome{});

@@ -76,10 +76,14 @@ std::vector<std::uint64_t> largestRemainderSplit(
     std::uint64_t rotation, bool rotate_leftovers);
 
 /**
- * A node SystemConfig sized for fleet runs: makeScaledConfig(scale)
- * shrunk to @p cores cores, warmup disabled (a warming node runs
- * all-max, which would blow through any grant at cluster epoch 0).
+ * Size @p c as a fleet node of @p cores cores (at most c.numCores):
+ * warmup disabled (a warming node runs all-max, which would blow
+ * through any grant at cluster epoch 0), a one-channel one-DIMM
+ * memory system, and the DVFS-only knob space.
  */
+void applyNodeSizing(SystemConfig &c, int cores);
+
+/** makeScaledConfig(@p scale) sized as a @p cores -core fleet node. */
 SystemConfig makeNodeConfig(double scale = 0.05, int cores = 2);
 
 struct ClusterConfig

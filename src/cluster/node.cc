@@ -30,6 +30,9 @@ NodeSim::NodeSim(int node_id, const SystemConfig &cfg,
     : nodeId(node_id), sys(cfg, apps), em(sys.energyModel()),
       policy(factory())
 {
+    allMin.coreIdx.assign(static_cast<size_t>(cfg.numCores),
+                          em.cores().size() - 1);
+    allMin.memIdx = em.mem().size() - 1;
     COSCALE_CHECK(policy != nullptr,
                   "node %d: policy factory returned null", node_id);
     if (faults.enabled()) {
@@ -41,112 +44,47 @@ NodeSim::NodeSim(int node_id, const SystemConfig &cfg,
 NodeEpochOutcome
 NodeSim::advanceEpoch(double granted_cap_w)
 {
-    const SystemConfig &cfg = sys.config();
     NodeEpochOutcome out;
     out.grantW = granted_cap_w;
-
-    // A transition the fault layer delayed lands at this epoch
-    // boundary, exactly as in the single-machine loop. No sink: the
-    // cluster layer owns tracing (nodes advance concurrently).
-    if (inj) {
-        FreqConfig pend;
-        if (inj->takePending(&pend))
-            sys.applyConfig(pend);
-    }
-
-    Tick epoch_start = sys.now();
-    CounterSnapshot epoch_snap = sys.snapshot();
-
-    // Profiling phase under the previous configuration.
-    sys.run(epoch_start + cfg.profileLen);
-
-    const std::uint64_t fepoch = static_cast<std::uint64_t>(epochNo);
-    SystemProfile prof = policy->wantsOracleProfile()
-                             ? sys.oracleProfile(cfg.epochLen)
-                             : sys.makeProfile(epoch_snap);
-    if (inj) {
-        prof = inj->perturbProfile(prof, fepoch, sys.now(), nullptr,
-                                   nullptr);
-    }
-    FreqConfig prev_cfg = sys.currentConfig();
-    policy->setObsTick(sys.now());
     if (granted_cap_w > 0.0)
         policy->setPowerCap(granted_cap_w);
-    FreqConfig decision =
-        epochNo < cfg.warmupEpochs
-            ? prev_cfg
-            : policy->safeDecide(prof, em, prev_cfg, cfg.epochLen);
-    FreqConfig granted =
-        inj ? inj->filterTransition(decision, prev_cfg, fepoch,
-                                    sys.now(), nullptr, nullptr)
-            : decision;
+
+    // No sink or metrics: the cluster layer owns tracing (nodes
+    // advance concurrently).
+    EpochStep step = runEpochStep(sys, em, *policy, inj.get(), epochNo,
+                                  nullptr, nullptr);
+    COSCALE_CHECK(!step.finished,
+                  "node %d: its open-ended workload finished", nodeId);
     epochNo += 1;
-
-    // Profiling-window power, accounted before frequencies change.
-    PowerBreakdown prof_pb = sys.windowPower(epoch_snap);
-    CounterSnapshot mid_snap = sys.snapshot();
-    double prof_secs = ticksToSeconds(mid_snap.tick - epoch_snap.tick);
-
-    Tick epoch_len =
-        inj ? inj->jitteredEpochLen(cfg.epochLen, cfg.profileLen,
-                                    fepoch, sys.now(), nullptr,
-                                    nullptr)
-            : cfg.epochLen;
-    sys.applyConfig(granted);
-    sys.run(epoch_start + epoch_len);
-
-    PowerBreakdown run_pb = sys.windowPower(mid_snap);
-    double run_secs = ticksToSeconds(sys.now() - mid_snap.tick);
-
-    EpochObservation obs;
-    obs.epochProfile = sys.makeProfile(epoch_snap);
-    obs.instrs = sys.instrsSince(epoch_snap);
-    obs.epochTicks = sys.now() - epoch_start;
-    obs.applied = granted;
-    if (sys.numApps() > sys.numCores())
-        obs.appOnCore = sys.appAssignment();
-    policy->observeEpoch(obs, em);
+    double prof_secs = ticksToSeconds(step.profTicks);
+    double run_secs = ticksToSeconds(step.runTicks);
+    const FreqConfig &granted = step.obs.applied;
 
     // Epoch energy/power: time-weighted across the two windows.
     double secs = prof_secs + run_secs;
-    out.energyJ = prof_pb.totalW() * prof_secs
-                  + run_pb.totalW() * run_secs;
+    out.energyJ = step.profPower.totalW() * prof_secs
+                  + step.runPower.totalW() * run_secs;
     out.avgPowerW = secs > 0.0 ? out.energyJ / secs : 0.0;
-    out.cpuW = secs > 0.0 ? (prof_pb.cpuW * prof_secs
-                             + run_pb.cpuW * run_secs)
-                                / secs
-                          : 0.0;
-    out.memW = secs > 0.0 ? (prof_pb.memW * prof_secs
-                             + run_pb.memW * run_secs)
-                                / secs
-                          : 0.0;
 
     // Model views for the allocator: what the policy thought it
     // applied, and the feasibility envelope on the *measured* epoch
     // profile (clean by construction — faults only touch the profile
     // the policy reads). Non-finite predictions (fault-poisoned
     // profile reached the decision) carry the previous envelope.
-    double pred = em.systemPower(prof, granted);
+    double pred = em.systemPower(step.prof, granted);
     out.predictedW = std::isfinite(pred) ? pred : out.avgPowerW;
-    int n = sys.numCores();
-    FreqConfig all_max = FreqConfig::allMax(n);
-    FreqConfig all_min;
-    all_min.coreIdx.assign(static_cast<size_t>(n),
-                           em.cores().size() - 1);
-    all_min.memIdx = em.mem().size() - 1;
-    double min_w = em.systemPower(obs.epochProfile, all_min);
-    double max_w = em.systemPower(obs.epochProfile, all_max);
+    double min_w = em.systemPower(step.obs.epochProfile, allMin);
+    double max_w = em.systemPower(step.obs.epochProfile,
+                                  FreqConfig::allMax(sys.numCores()));
     if (std::isfinite(min_w))
         lastMinW = min_w;
     if (std::isfinite(max_w))
         lastMaxW = max_w;
     out.minW = lastMinW;
     out.maxW = lastMaxW;
-    out.overCap = granted_cap_w > 0.0
-                  && out.predictedW > granted_cap_w;
 
     std::uint64_t instrs = 0;
-    for (std::uint64_t v : obs.instrs)
+    for (std::uint64_t v : step.obs.instrs)
         instrs += v;
     out.instrs = instrs;
     lastInstrs = instrs;
@@ -178,12 +116,7 @@ NodeSim::beginEpoch()
             // Reboot: warm restart into the all-min configuration.
             // The workload state survives (warm reboot), but the
             // machine comes back at its power floor and ramps.
-            FreqConfig low;
-            low.coreIdx.assign(
-                static_cast<size_t>(sys.numCores()),
-                em.cores().size() - 1);
-            low.memIdx = em.mem().size() - 1;
-            sys.applyConfig(low);
+            sys.applyConfig(allMin);
             rampLeft = pendingRamp;
             phaseNow = rampLeft > 0 ? NodePhase::Ramping
                                     : NodePhase::Up;
@@ -242,7 +175,6 @@ NodeSim::holdEpoch()
     NodeEpochOutcome out = lastOut;
     out.grantW = lastGrantW;
     out.instrs = 0;
-    out.overCap = false;
     lastInstrs = 0;
     telemetryFresh = false;
     return out;

@@ -5,12 +5,14 @@
  * an open-loop request queue served by the instructions the node
  * actually retired.
  *
- * NodeSim::advanceEpoch mirrors one iteration of the single-machine
- * epoch loop (sim/runner.cc) — profile, decide, transition, run the
- * epoch out, observe — with two cluster-specific twists: the granted
- * cap is pushed into the policy (Policy::setPowerCap) before it
- * decides, and the node runs open-ended (the workload is a compute
- * substrate, not a finite job), so there is no completion handling.
+ * NodeSim::advanceEpoch runs the same per-epoch controller step as
+ * the single-machine epoch loop (runEpochStep: profile, decide,
+ * transition, run the epoch out, observe) and keeps only what is the
+ * node's own around it: the granted cap is pushed into the policy
+ * (Policy::setPowerCap) before the step, and the epoch's power,
+ * energy and all-min/all-max envelope are reported to the allocator.
+ * The node runs open-ended (the workload is a compute substrate, not
+ * a finite job), so there is no completion handling.
  *
  * Determinism: a node owns every bit of its state (System, policy
  * instance, fault injector) and advanceEpoch touches nothing shared,
@@ -66,8 +68,6 @@ struct NodeEpochOutcome
 
     /** Measured average power over the whole epoch (profiling included). */
     double avgPowerW = 0.0;
-    double cpuW = 0.0;
-    double memW = 0.0;
 
     /** Measured energy of the whole epoch, joules. */
     double energyJ = 0.0;
@@ -84,9 +84,6 @@ struct NodeEpochOutcome
      */
     double minW = 0.0;
     double maxW = 0.0;
-
-    /** The policy predicted over its grant (grant > 0 only). */
-    bool overCap = false;
 
     /** Instructions retired this epoch — the request-serving capacity. */
     std::uint64_t instrs = 0;
@@ -128,12 +125,12 @@ class NodeSim
     NodeEpochOutcome advanceEpoch(double granted_cap_w);
 
     /**
-     * Force a configuration before the first epoch. Capped clusters
-     * boot every node in the all-min state: epoch 0 profiles under
-     * it, so even the first epoch cannot overshoot the budget the
-     * way an all-max cold start would.
+     * Boot in the all-min configuration before the first epoch.
+     * Capped clusters boot every node this way: epoch 0 profiles
+     * under it, so even the first epoch cannot overshoot the budget
+     * the way an all-max cold start would.
      */
-    void presetConfig(const FreqConfig &c) { sys.applyConfig(c); }
+    void bootAllMin() { sys.applyConfig(allMin); }
 
     /** Add @p requests arrivals routed here at @p epoch. */
     void enqueue(std::uint64_t requests, std::uint64_t epoch);
@@ -242,6 +239,7 @@ class NodeSim
     int nodeId;
     System sys;
     EnergyModel em;
+    FreqConfig allMin; //!< the power floor: boot, reboot, envelope
     std::unique_ptr<Policy> policy;
     std::unique_ptr<fault::FaultInjector> inj;
 

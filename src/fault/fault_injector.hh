@@ -1,7 +1,8 @@
 /**
  * @file
- * The per-run fault injector: interprets a FaultPlan at the runner's
- * natural seams (profiling snapshot, DVFS transition, epoch timer),
+ * The per-run fault injector: interprets a FaultPlan at the epoch
+ * step's natural seams (profiling snapshot, DVFS transition, epoch
+ * timer; runEpochStep in sim/runner.hh is the only caller),
  * emits "fault" trace events and fault.* metrics through the obs
  * layer, and accumulates a FaultSummary for the run report.
  *

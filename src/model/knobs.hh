@@ -64,11 +64,13 @@ struct KnobVector
 };
 
 /**
- * The search space a system exposes: ladder bounds, the way budget
- * and floor, and the power cap expressed as a feasibility predicate
+ * The search space a system exposes. Ladder lengths come from the
+ * EnergyModel (`em.cores().size()`, `em.mem().size()`, which
+ * policies also read directly); the space adds what the model does
+ * not know: vector membership (`contains`), the way budget and
+ * floor, and the power cap expressed as a feasibility predicate
  * (`underCap`) instead of a dedicated search mode. Built from the
- * live system via makeKnobSpace(); policies walk it instead of
- * hard-coding `em.cores().size()` / `em.mem().size()`.
+ * live system via makeKnobSpace().
  */
 struct KnobSpace
 {

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/log.hh"
-#include "model/knobs.hh"
 
 namespace coscale {
 
@@ -82,9 +81,9 @@ MultiScalePolicy::decide(const SystemProfile &profile,
 
     SerEvaluator ev(em, profile);
     double p_base = ev.basePower();
-    // Ladder bounds come from the knob space (DESIGN.md §13); the
-    // per-channel dimension is this policy's native axis.
-    int mem_steps = makeKnobSpace(em, profile).memSteps;
+    // The per-channel dimension is this policy's native axis; its
+    // ladder length comes from the EnergyModel (DESIGN.md §13).
+    int mem_steps = em.mem().size();
 
     // Precompute, per channel and frequency step: the worst relative
     // slowdown among the cores homed on it, its power, and per-core

@@ -12,31 +12,105 @@
 
 namespace coscale {
 
+EpochStep
+runEpochStep(System &sys, const EnergyModel &em, Policy &policy,
+             fault::FaultInjector *inj, int epoch_no, TraceSink *sink,
+             MetricsRegistry *metrics)
+{
+    const SystemConfig &cfg = sys.config();
+    EpochStep step;
+
+    // A transition the fault layer delayed lands at this epoch
+    // boundary: the profiling phase below runs under it.
+    FreqConfig pend;
+    if (inj && inj->takePending(&pend)) {
+        sys.applyConfig(pend);
+        if (sink) {
+            sink->write(TraceEvent(sys.now(), "fault", "transition_late")
+                            .f("epoch",
+                               static_cast<std::uint64_t>(epoch_no))
+                            .f("mem_idx", pend.memIdx)
+                            .f("core_idx", pend.coreIdx));
+        }
+    }
+    step.start = sys.snapshot();
+    const Tick epoch_start = step.start.tick;
+
+    // Profiling phase (runs under the previous configuration).
+    sys.run(epoch_start + cfg.profileLen);
+    step.profTicks = sys.now() - epoch_start;
+    if (step.profTicks > 0)
+        step.profPower = sys.windowPower(step.start);
+    if (sys.allAppsDone()) {
+        step.finished = true;
+        return step;
+    }
+
+    const std::uint64_t fepoch = static_cast<std::uint64_t>(epoch_no);
+    step.prof = policy.wantsOracleProfile()
+                    ? sys.oracleProfile(cfg.epochLen)
+                    : sys.makeProfile(step.start);
+    if (inj) {
+        step.prof = inj->perturbProfile(step.prof, fepoch, sys.now(),
+                                        sink, metrics);
+    }
+    step.prev = sys.currentConfig();
+    policy.setObsTick(sys.now());
+    FreqConfig decision =
+        epoch_no < cfg.warmupEpochs
+            ? step.prev
+            : policy.safeDecide(step.prof, em, step.prev, cfg.epochLen);
+    // A policy that does not speak the way dimension (empty wayIdx)
+    // holds the installed partition rather than dropping it — the
+    // knob is "held", never implicitly reset.
+    if (decision.wayIdx.empty() && !step.prev.wayIdx.empty())
+        decision.wayIdx = step.prev.wayIdx;
+    // Requested vs granted: the fault layer may deny, delay, or clamp
+    // the transition. Everything downstream follows granted.
+    EpochObservation &obs = step.obs;
+    obs.applied = inj ? inj->filterTransition(decision, step.prev, fepoch,
+                                              sys.now(), sink, metrics)
+                      : std::move(decision);
+
+    CounterSnapshot mid = sys.snapshot();
+    Tick epoch_len =
+        inj ? inj->jitteredEpochLen(cfg.epochLen, cfg.profileLen,
+                                    fepoch, sys.now(), sink, metrics)
+            : cfg.epochLen;
+    sys.applyConfig(obs.applied);
+    sys.run(epoch_start + epoch_len);
+    step.runTicks = sys.now() - mid.tick;
+    if (step.runTicks > 0)
+        step.runPower = sys.windowPower(mid);
+
+    obs.epochProfile = sys.makeProfile(step.start);
+    obs.instrs = sys.instrsSince(step.start);
+    obs.epochTicks = sys.now() - epoch_start;
+    if (sys.numApps() > sys.numCores())
+        obs.appOnCore = sys.appAssignment();
+    policy.observeEpoch(obs, em);
+    return step;
+}
+
 namespace {
 
 /**
- * Accumulate the energy of the window since @p since, clipped at the
- * workload's completion tick if it fell inside the window. The energy
+ * Accumulate the energy of a window of @p span ticks from @p since at
+ * average power @p pb. When the workload was @p done by the window's
+ * end, the window is clipped at its completion tick. The energy
  * auditor, when attached, shadows the same integral.
  */
 void
-accumulateEnergy(const System &sys, const CounterSnapshot &since,
-                 RunResult &result, PowerBreakdown *avg_out = nullptr,
-                 EnergyAuditor *ea = nullptr)
+accumulateEnergy(const System &sys, const PowerBreakdown &pb,
+                 Tick since, Tick span, bool done, RunResult &result,
+                 EnergyAuditor *ea)
 {
-    Tick end = sys.now();
-    if (end <= since.tick)
+    Tick effective_end = since + span;
+    if (done)
+        effective_end = std::min(effective_end, sys.lastCompletionTick());
+    if (effective_end <= since)
         return;
-    PowerBreakdown pb = sys.windowPower(since);
-    if (avg_out)
-        *avg_out = pb;
-
-    Tick effective_end = end;
-    if (sys.allAppsDone())
-        effective_end = std::min(end, sys.lastCompletionTick());
-    if (effective_end <= since.tick)
-        return;
-    double secs = ticksToSeconds(effective_end - since.tick);
+    double secs = ticksToSeconds(effective_end - since);
     result.cpuEnergyJ += pb.cpuW * secs;
     result.memEnergyJ += pb.memW * secs;
     result.otherEnergyJ += pb.otherW * secs;
@@ -107,17 +181,17 @@ traceDramWindow(const System &sys, const SystemConfig &cfg,
 }
 
 /**
- * The epoch loop shared by every entry path: profile, decide,
- * transition, run the epoch out, update slack — with optional
- * per-epoch tracing and metrics (both null when observability is off;
- * the hot path then pays a handful of pointer tests).
+ * The epoch loop shared by every entry path: one runEpochStep per
+ * epoch (profile, decide, transition, run the epoch out, update
+ * slack), plus what is the single run's own — completion-clipped
+ * energy, the EpochLog, optional per-epoch tracing and metrics (both
+ * null when observability is off; the hot path then pays a handful
+ * of pointer tests) and the auditors.
  *
- * Fault injection (@p inj, null for clean runs) perturbs the loop at
- * its three runtime seams: the profiling snapshot the policy reads,
- * the requested-vs-granted DVFS transition, and the epoch timer. The
- * loop applies and accounts the *granted* configuration throughout —
- * EpochLog, slack observation, traces, and energy all follow what the
- * (faulty) hardware actually did, not what the policy asked for.
+ * Fault injection (@p inj, null for clean runs) acts inside the step;
+ * the loop accounts the *granted* configuration it reports — EpochLog,
+ * traces, and energy all follow what the (faulty) hardware actually
+ * did, not what the policy asked for.
  *
  * Cooperative cancellation (@p cancel, null normally): the engine's
  * watchdog sets the flag and the loop aborts at the next epoch
@@ -166,26 +240,6 @@ runEpochLoop(const SystemConfig &cfg, const std::string &label,
             && epoch_no % cfg.schedQuantumEpochs == 0) {
             sys.rotateApps();
         }
-        // A transition the fault layer delayed lands at this epoch
-        // boundary: the profiling phase below runs under it.
-        if (inj) {
-            FreqConfig pend;
-            if (inj->takePending(&pend)) {
-                sys.applyConfig(pend);
-                if (sink) {
-                    sink->write(
-                        TraceEvent(sys.now(), "fault",
-                                   "transition_late")
-                            .f("epoch",
-                               static_cast<std::uint64_t>(epoch_no))
-                            .f("mem_idx", pend.memIdx)
-                            .f("core_idx", pend.coreIdx));
-                }
-            }
-        }
-        Tick epoch_start = sys.now();
-        CounterSnapshot epoch_snap = sys.snapshot();
-
         // Epoch-delta anchors: traced per-epoch energy is the exact
         // difference of the run totals, so traced epochs sum to the
         // RunResult to the last bit.
@@ -193,10 +247,12 @@ runEpochLoop(const SystemConfig &cfg, const std::string &label,
         double mem_j0 = result.memEnergyJ;
         double other_j0 = result.otherEnergyJ;
 
-        // Profiling phase (runs under the previous configuration).
-        sys.run(epoch_start + cfg.profileLen);
-        if (sys.allAppsDone()) {
-            accumulateEnergy(sys, epoch_snap, result, nullptr, ea);
+        EpochStep step = runEpochStep(sys, em, policy, inj, epoch_no,
+                                      sink, metrics);
+        const Tick epoch_start = step.start.tick;
+        accumulateEnergy(sys, step.profPower, epoch_start,
+                         step.profTicks, step.finished, result, ea);
+        if (step.finished) {
             if (tracing) {
                 CounterSnapshot end_snap = sys.snapshot();
                 if (sink) {
@@ -209,67 +265,21 @@ runEpochLoop(const SystemConfig &cfg, const std::string &label,
                             .f("other_j",
                                result.otherEnergyJ - other_j0));
                 }
-                traceDramWindow(sys, cfg, epoch_snap, end_snap, sink,
+                traceDramWindow(sys, cfg, step.start, end_snap, sink,
                                 metrics);
             }
             break;
         }
-
-        const std::uint64_t fepoch =
-            static_cast<std::uint64_t>(epoch_no);
-        SystemProfile prof = policy.wantsOracleProfile()
-                                 ? sys.oracleProfile(cfg.epochLen)
-                                 : sys.makeProfile(epoch_snap);
-        if (inj) {
-            prof = inj->perturbProfile(prof, fepoch, sys.now(), sink,
-                                       metrics);
-        }
-        FreqConfig prev_cfg = sys.currentConfig();
-        policy.setObsTick(sys.now());
-        FreqConfig decision =
-            epoch_no < cfg.warmupEpochs
-                ? prev_cfg
-                : policy.safeDecide(prof, em, prev_cfg, cfg.epochLen);
-        // A policy that does not speak the way dimension (empty
-        // wayIdx) holds the installed partition rather than dropping
-        // it — the knob is "held", never implicitly reset.
-        if (decision.wayIdx.empty() && !prev_cfg.wayIdx.empty())
-            decision.wayIdx = prev_cfg.wayIdx;
-        // Requested vs granted: the fault layer may deny, delay, or
-        // clamp the transition. Everything downstream — applyConfig,
-        // the epoch log, slack observation, energy — follows granted.
-        FreqConfig granted =
-            inj ? inj->filterTransition(decision, prev_cfg, fepoch,
-                                        sys.now(), sink, metrics)
-                : decision;
         epoch_no += 1;
 
-        // Account the profiling segment before frequencies change.
-        accumulateEnergy(sys, epoch_snap, result, nullptr, ea);
-        CounterSnapshot mid_snap = sys.snapshot();
-
-        Tick epoch_len =
-            inj ? inj->jitteredEpochLen(cfg.epochLen, cfg.profileLen,
-                                        fepoch, sys.now(), sink,
-                                        metrics)
-                : cfg.epochLen;
-        sys.applyConfig(granted);
-        sys.run(epoch_start + epoch_len);
-
-        EpochLog log;
-        log.startTick = epoch_start;
-        log.applied = granted;
-        accumulateEnergy(sys, mid_snap, result, &log.avgPower, ea);
-        result.epochs.push_back(std::move(log));
-
-        EpochObservation obs;
-        obs.epochProfile = sys.makeProfile(epoch_snap);
-        obs.instrs = sys.instrsSince(epoch_snap);
-        obs.epochTicks = sys.now() - epoch_start;
-        obs.applied = granted;
-        if (sys.numApps() > sys.numCores())
-            obs.appOnCore = sys.appAssignment();
-        policy.observeEpoch(obs, em);
+        const SystemProfile &prof = step.prof;
+        const FreqConfig &prev_cfg = step.prev;
+        const EpochObservation &obs = step.obs;
+        const FreqConfig &granted = obs.applied;
+        accumulateEnergy(sys, step.runPower, epoch_start + step.profTicks,
+                         step.runTicks, sys.allAppsDone(), result, ea);
+        result.epochs.push_back(
+            EpochLog{epoch_start, granted, step.runPower});
 
         if (tracing) {
             CounterSnapshot end_snap = sys.snapshot();
@@ -345,7 +355,7 @@ runEpochLoop(const SystemConfig &cfg, const std::string &label,
                 }
                 sink->write(ev);
             }
-            traceDramWindow(sys, cfg, epoch_snap, end_snap, sink,
+            traceDramWindow(sys, cfg, step.start, end_snap, sink,
                             metrics);
         }
 

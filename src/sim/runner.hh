@@ -3,7 +3,9 @@
  * The epoch-based experiment runner (Section 3, "Overall operation"):
  * per epoch, profile for 300 us (scaled), let the policy pick
  * frequencies, transition, run the epoch out, then update the
- * policy's slack from whole-epoch counters.
+ * policy's slack from whole-epoch counters. That cycle is one
+ * function, runEpochStep, which the single-machine loop and every
+ * fleet node (cluster/node.hh) run.
  *
  * Also provides the result records and baseline-relative comparison
  * helpers every benchmark harness uses.
@@ -29,6 +31,9 @@
 namespace coscale {
 
 struct AuditSet;
+namespace fault {
+class FaultInjector;
+}
 
 /**
  * Creates a fresh Policy instance for one run. Batch execution (the
@@ -46,6 +51,40 @@ struct EpochLog
     FreqConfig applied;
     PowerBreakdown avgPower;
 };
+
+/**
+ * What one epoch did. The profiling window ran under @c prev, the
+ * rest of the epoch under the granted configuration @c obs.applied;
+ * each window's power is read before the next actuation (zero for an
+ * empty window). When every app finished while profiling, only
+ * @c start and the prof* window are set.
+ */
+struct EpochStep
+{
+    bool finished = false;
+    CounterSnapshot start; //!< after a delayed transition landed
+    Tick profTicks = 0;
+    PowerBreakdown profPower;
+    Tick runTicks = 0;
+    PowerBreakdown runPower;
+    SystemProfile prof;   //!< what the policy decided on
+    FreqConfig prev;
+    EpochObservation obs; //!< what the policy observed afterwards
+};
+
+/**
+ * Run epoch @p epoch_no of @p sys under @p policy: land a transition
+ * the fault layer delayed, profile, decide (epochs before
+ * cfg.warmupEpochs hold the previous configuration), filter the
+ * request through the fault layer, run the (possibly jittered) epoch
+ * out, observe. @p inj is null for a clean run; its events go to
+ * @p sink and @p metrics (either may be null). The only caller of
+ * Policy::safeDecide and of the injector's seams.
+ */
+EpochStep runEpochStep(System &sys, const EnergyModel &em,
+                       Policy &policy, fault::FaultInjector *inj,
+                       int epoch_no, TraceSink *sink,
+                       MetricsRegistry *metrics);
 
 /** Outcome of one workload run under one policy. */
 struct RunResult

@@ -18,14 +18,18 @@
  *    accounting balances, and a 32-node run is byte-identical between
  *    jobs=1 and jobs=4,
  *  - golden JSONL fixtures for the 8-node FastCap cluster trace
- *    (clean + faulted twin), regenerable via COSCALE_REGEN_GOLDEN=1.
+ *    (clean + faulted twin), regenerable via COSCALE_REGEN_GOLDEN=1,
+ *    and a pinned digest of a 4-node capped fleet with every fault
+ *    seam armed.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -35,6 +39,7 @@
 #include "cluster/allocator.hh"
 #include "cluster/arrival.hh"
 #include "cluster/cluster.hh"
+#include "exp/digest.hh"
 #include "exp/engine.hh"
 #include "obs/trace_sink.hh"
 #include "policy/power_cap.hh"
@@ -1466,6 +1471,62 @@ TEST(ClusterGolden, FaultedTwinMatchesFixtureAndDiverges)
     EXPECT_GT(r.faults.total(), 0u);
     EXPECT_NE(faulted, runTraced(goldenConfig()));
     checkGolden("cluster_8node_fastcap_faulted.jsonl", faulted);
+}
+
+TEST(ClusterGolden, EverySeamFaultedFleetMatchesPinnedDigest)
+{
+    // Pins the fleet path through every fault seam at once: counter
+    // noise and bias, dropout (NaN-poisoned profiles), stale
+    // profiles, denied, delayed (landing next epoch), clamped and
+    // jittered transitions. The digest folds the traced run, the
+    // JSON report, the per-seam fault counts and the kernel event
+    // count. A deliberate behaviour change regenerates it by copying
+    // the "actual" value from the failure message.
+    constexpr std::uint64_t kPinned = 0xa148546d212972beULL;
+    ClusterConfig cfg = testCluster(4, 8);
+    cfg.policy = "fastcap";
+    cfg.budgetW = feasibleBudget(cfg, 0.6);
+    cfg.faults.counterNoiseAmp = 0.05;
+    cfg.faults.counterNoiseBias = 0.02;
+    cfg.faults.counterDropoutProb = 0.1;
+    cfg.faults.counterStaleProb = 0.25;
+    cfg.faults.transitionDenyProb = 0.15;
+    cfg.faults.transitionDelayProb = 0.2;
+    cfg.faults.transitionClampProb = 0.2;
+    cfg.faults.epochJitterFrac = 0.05;
+
+    std::ostringstream trace;
+    JsonlTraceSink sink(trace);
+    ClusterSim sim(cfg);
+    sim.attachObs(&sink, nullptr);
+    ClusterResult r = sim.run();
+    sink.finish();
+    std::ostringstream report;
+    cluster::writeClusterJsonReport(cfg, r, report);
+
+    // Every seam must actually bite, or the pin covers less than it
+    // claims.
+    const fault::FaultSummary &f = r.faults;
+    EXPECT_GT(f.noisyEpochs, 0u);
+    EXPECT_GT(f.staleProfiles, 0u);
+    EXPECT_GT(f.counterDropouts, 0u);
+    EXPECT_GT(f.transitionsDenied, 0u);
+    EXPECT_GT(f.transitionsDelayed, 0u);
+    EXPECT_GT(f.transitionsClamped, 0u);
+    EXPECT_GT(f.jitteredEpochs, 0u);
+
+    exp::Digest d;
+    d.add(trace.str());
+    d.add(report.str());
+    for (std::uint64_t v :
+         {f.noisyEpochs, f.staleProfiles, f.counterDropouts,
+          f.transitionsDenied, f.transitionsDelayed,
+          f.transitionsClamped, f.jitteredEpochs, r.totalEvents}) {
+        d.add(v);
+    }
+    char actual[32];
+    std::snprintf(actual, sizeof(actual), "0x%016" PRIx64, d.value());
+    EXPECT_EQ(d.value(), kPinned) << "actual " << actual;
 }
 
 TEST(ClusterGolden, ChurnedTwinMatchesFixtureAndDiverges)

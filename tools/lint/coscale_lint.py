@@ -7,8 +7,9 @@ that would break bit-identical runs, unordered-container iteration
 that would scramble golden JSONL fixtures, raw asserts that bypass
 the COSCALE_CHECK reporting path, unguarded mutable globals that
 break run purity, raw std::mutex uses that dodge the clang
-thread-safety annotations, uninitialized scalar struct members, and
-lenient atoi-family number parsing.
+thread-safety annotations, uninitialized scalar struct members,
+lenient atoi-family number parsing, and policy decisions or fault
+seams driven outside the shared epoch step.
 
 Usage:
     coscale_lint.py [paths...]            # default: <repo>/src
@@ -205,6 +206,22 @@ RULES = {
         "exempt": [],
         "only": ["src/"],
     },
+    "epoch-seam-call": {
+        "desc": "policy decision or fault-seam call outside the shared "
+                "epoch step",
+        "why": "the controller cycle (land a delayed transition, "
+               "profile, decide, transition, run, observe) lives in "
+               "one function, runEpochStep, which the single-machine "
+               "loop and every fleet node both run; a second caller "
+               "of safeDecide or of a fault seam forks the cycle, and "
+               "every later per-epoch feature would have to be "
+               "written into both copies.",
+        "hint": "call runEpochStep (sim/runner.hh) instead of "
+                "driving the policy or the fault injector directly",
+        # The step's home, and the injector's own implementation.
+        "exempt": ["src/sim/", "src/fault/"],
+        "only": ["src/"],
+    },
     # Meta-rules about the suppression mechanism itself.
     "bad-suppression": {
         "desc": "coscale-lint allow() without a justification",
@@ -375,6 +392,14 @@ BANNED_CALL_RULES = [
      re.compile(r"\b(setFrequencyIndex|setChannelFrequencyIndex)"
                 r"\s*\("),
      "'%s(' is a deleted MemCtrl compat shim"),
+    # Calls only: member syntax, or an unqualified call after
+    # `return` or an operator. Declarations (`bool takePending(`) and
+    # qualified definitions (`Policy::safeDecide(`) do not match.
+    ("epoch-seam-call",
+     re.compile(r"(?:(?:\.|->)\s*|(?:\breturn\b|[=(,?])\s*)"
+                r"(safeDecide|perturbProfile|filterTransition|"
+                r"takePending|jitteredEpochLen)\s*\("),
+     "'%s(' drives the epoch outside the shared step"),
     ("policy-knob-mutation",
      re.compile(r"\b(setFrequency|setPartition|setWayMask|"
                 r"setShadowTracking)\s*\("),
